@@ -146,9 +146,6 @@ def strength(rounds: int, theta: float) -> float:
     if rounds < 1:
         raise DomainError(f"rounds must be at least 1, got {rounds}")
     d = 1 << rounds
-    if d == 2:
-        # One round: (2 cos^2 - 1)/1 is exactly the double-angle cosine.
-        return (2.0 * math.cos(theta) ** 2 - 1.0) / 1.0
     return (d * math.cos(theta) ** 2 - 1.0) / (d - 1.0)
 
 

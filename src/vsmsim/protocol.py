@@ -29,20 +29,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    CommutationError,
     ConsistencyError,
-    DependenceError,
     DimensionError,
     DomainError,
     ParseError,
 )
 from .meter import MeterSpec, kfold_meter
-from .pauli import ObservableSet, Pvm, SignVector, joint_pvm, sign_vectors, validate_set
+from .pauli import (
+    ObservableSet,
+    Pvm,
+    SetValidation,
+    SignVector,
+    accept_set,
+    build_pvm,
+    sign_vectors,
+)
 from .statevec import Ket, tensor, apply_controlled
 
 # Every random draw in the package uses this generator family.
@@ -72,21 +78,17 @@ class MeasurementModel:
     controlled gates (a permutation of 1..K, default ascending).  The
     extracted Kraus operators and POVM do not depend on it because the
     observables commute; it is kept explicit so the circuit is fully
-    specified.
+    specified.  ``validation`` is the report of the one validation of
+    the observable set, made on construction.
     """
 
     observables: ObservableSet
     theta: float
     coupling_order: tuple[int, ...] = ()
+    validation: SetValidation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        report = validate_set(self.observables)
-        if report.noncommuting_pairs:
-            raise CommutationError(
-                f"set {self.observables} has non-commuting pairs {report.noncommuting_pairs}"
-            )
-        if not report.ok:
-            raise DependenceError("; ".join(report.failures))
+        object.__setattr__(self, "validation", accept_set(self.observables))
         # Delegates the theta domain check.
         MeterSpec(rounds=self.size, n_sites=self.observables.n_sites, theta=self.theta)
         order = tuple(self.coupling_order) or tuple(range(1, self.size + 1))
@@ -123,7 +125,7 @@ class MeasurementModel:
         return 1 << (self.size * (self.n_sites - 1))
 
     def pvm(self) -> Pvm:
-        return joint_pvm(self.observables)
+        return build_pvm(self.validation)
 
     def to_json(self) -> dict:
         return {

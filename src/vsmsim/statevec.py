@@ -155,6 +155,12 @@ class Ket:
             raise ParseError(f"ket JSON needs integer 'n' and numeric 're'/'im' arrays: {exc}") from exc
         if n < 0:
             raise ParseError(f"ket JSON has negative qubit count {n}")
+        # Checked before 1 << n, which would build a huge integer for a hostile n.
+        if n > max_qubits():
+            raise ResourceLimitError(
+                f"ket JSON has {n} qubits, above the limit of {max_qubits()} "
+                "(set VSM_MAX_QUBITS to raise it)"
+            )
         dim = 1 << n
         if re.shape != (dim,) or im.shape != (dim,):
             raise ParseError(

@@ -288,6 +288,13 @@ class TestTangle:
         assert report["tau"] == pytest.approx(1.0 / 9.0, abs=1e-12)
         assert report["strength_squared"] == pytest.approx(4.0 / 9.0, abs=1e-12)
 
+    def test_state_over_qubit_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+        state = json.dumps({"n": 4, "re": [1.0], "im": [0.0]})
+        code, _, err = run(capsys, "tangle", "--state", state)
+        assert code == 1
+        assert "above the limit of 3" in err
+
     def test_state_mode_inline(self, capsys):
         code, out, _ = run(capsys, "tangle", "--state", GHZ2_JSON)
         assert code == 0

@@ -1,14 +1,18 @@
 """Tests for product observables and joint eigenprojectors.
 
-The site-parity commutation rule is checked exhaustively against a
-matrix-commutator oracle, and projector ranks against an
-eigenvalue-count oracle, so the fast paths never certify themselves.
+The symplectic commutation rule is checked exhaustively against a
+matrix-commutator oracle, projector ranks against an eigenvalue-count
+oracle, and the whole mask core (validation and projectors) against the
+dense matmul chain of ``pauli_oracle`` on random sets, so the fast paths
+never certify themselves.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+
+import pauli_oracle as oracle
 
 from vsmsim.errors import CommutationError, DependenceError, DimensionError, ParseError
 from vsmsim.pauli import (
@@ -273,6 +277,104 @@ class TestPvmProperties:
                     )
                     rhs += weight * proj
                 np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+# The letter proportional to the product of two different letters.
+THIRD_LETTER = {frozenset("XY"): "Z", frozenset("YZ"): "X", frozenset("XZ"): "Y"}
+
+
+def product_word(a, b):
+    """Word equal to a*b up to a phase, or None where a site would hold I."""
+    if any(la == lb for la, lb in zip(a, b)):
+        return None
+    return "".join(THIRD_LETTER[frozenset((la, lb))] for la, lb in zip(a, b))
+
+
+def random_words(rng, n, k, commuting):
+    """Up to k random words, greedily kept commuting (by the dense oracle) if asked."""
+    words = []
+    for _ in range(200):
+        if len(words) == k:
+            break
+        word = "".join(rng.choice(list("XYZ"), size=n))
+        if not commuting or not oracle.noncommuting_pairs(words + [word]):
+            words.append(word)
+    return words
+
+
+def random_oracle_case(rng):
+    """Random words on N <= 6 sites, K <= N, of one of four kinds.
+
+    Free draws (mostly non-commuting), commuting draws (often dependent),
+    commuting draws plus a duplicate member, and commuting draws plus a
+    member proportional to the product of two others, whose phase makes
+    some joint projectors zero.
+    """
+    n = int(rng.integers(1, 7))
+    k = int(rng.integers(1, n + 1))
+    kind = int(rng.integers(4))
+    if kind < 2 or k < 2:
+        return random_words(rng, n, k, commuting=kind > 0)
+    words = random_words(rng, n, k - 1, commuting=True)
+    extra = words[int(rng.integers(len(words)))]
+    if kind == 3:
+        products = [product_word(a, b) for a, b in itertools.combinations(words, 2)]
+        extra = next((w for w in products if w is not None), extra)
+    words.insert(int(rng.integers(len(words) + 1)), extra)
+    return words
+
+
+class TestMaskCoreAgainstOracle:
+    """validate_set and joint_pvm against the dense matmul-chain oracle."""
+
+    def check(self, words):
+        group = ObservableSet.from_string(",".join(words))
+        n, k = group.n_sites, group.size
+        report = validate_set(group)
+        pairs = oracle.noncommuting_pairs(words)
+        assert report.noncommuting_pairs == pairs, words
+        if pairs:
+            assert report.ranks is None and not report.ok
+            with pytest.raises(CommutationError):
+                joint_pvm(group)
+            return "noncommuting"
+        expected = oracle.ranks(words)
+        assert report.ranks == expected, words
+        accepted = k <= n and all(r == 1 << (n - k) for r in expected.values())
+        assert report.ok == accepted, words
+        if not accepted:
+            with pytest.raises(DependenceError):
+                joint_pvm(group)
+            return "dependent"
+        pvm = joint_pvm(group)
+        for signs, proj in oracle.raw_projectors(words).items():
+            np.testing.assert_allclose(pvm.projectors[signs], proj, rtol=0, atol=1e-12)
+        return "accepted"
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(2103)
+        seen = {"noncommuting": 0, "dependent": 0, "accepted": 0}
+        for _ in range(300):
+            seen[self.check(random_oracle_case(rng))] += 1
+        # Every branch of the comparison ran on a fair share of the cases.
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            # XX*ZZ = -YY and XZ*ZX = +YY: the same letters, opposite zero projectors.
+            "XX,ZZ,YY",
+            "XZ,ZX,YY",
+            "XXXX,ZZZZ,YYYY",
+            "XYXY,YXYX,ZZZZ",
+            "XX,XX",
+            "XYZ,YXZ,XYZ",
+        ],
+    )
+    def test_dependent_sets(self, words):
+        assert self.check(words.split(",")) == "dependent"
+        ranks = validate_set(ObservableSet.from_string(words)).ranks
+        assert 0 in ranks.values()
 
 
 def test_sign_vector_order():

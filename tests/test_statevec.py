@@ -129,6 +129,12 @@ class TestKetJson:
         with pytest.raises(ParseError):
             Ket.from_json({"n": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]})
 
+    def test_qubit_cap_checked_before_length(self, monkeypatch):
+        # n above the cap is refused before 2**n is formed, whatever the arrays hold.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+        with pytest.raises(ResourceLimitError, match="above the limit of 3"):
+            Ket.from_json({"n": 4, "re": [1.0], "im": [0.0]})
+
     def test_norm_validated(self):
         data = {"n": 1, "re": [1.0, 1.0], "im": [0.0, 0.0]}
         with pytest.raises(ParseError):
