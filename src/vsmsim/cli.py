@@ -18,6 +18,12 @@ seed (null when no randomness is involved), and the qubit-ordering
 convention.  The artifact goes to --out when given (summary line on
 stdout), otherwise to stdout (summary line on stderr).
 
+The JSON layout is exactly that of ``json.dumps(artifact, indent=2)``.
+``_indented_json`` writes it without json's slow pure-Python indenting
+encoder: each list of plain ints and floats is one call of the C
+encoder, whose ", " separators are rewritten into the indented line
+breaks, and only dicts and the other lists recurse in Python.
+
 Exit codes: 0 success, 1 usage or validation error, 2 verification
 failure (a sweep or tangle residual at or above 1e-8, or a bell-demo
 frequency more than 4 sigma from theory).
@@ -49,7 +55,6 @@ from .protocol import (
     effects_to_json,
     kraus_closed_form,
     outcome_distribution,
-    povm,
     qudit_vsm,
     sample,
     sample_signs,
@@ -117,7 +122,31 @@ def _emit(args, payload: str, summary: str) -> None:
 
 
 def _json_payload(artifact: dict) -> str:
-    return json.dumps(artifact, indent=2) + "\n"
+    return _indented_json(artifact, "") + "\n"
+
+
+def _indented_json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value starting at ``indent``.
+
+    json's pure-Python encoder, which ``indent`` selects, is slow on
+    MB-sized arrays.  Containers recurse here, but a list of plain ints
+    and floats is written by one call of the C encoder, whose ", "
+    separators (never part of a number) become line breaks.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        # json.dumps({key: 0}) spells the key as json does for any key type.
+        items = (
+            f"{json.dumps({k: 0})[1:-4]}: {_indented_json(v, inner)}" for k, v in value.items()
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= {int, float}:
+            body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join(_indented_json(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
 
 
 def _require_json_format(args) -> None:
@@ -208,7 +237,10 @@ def _cmd_meter(args) -> int:
 def _cmd_povm(args) -> int:
     _require_json_format(args)
     model = _model_from_args(args)
-    effects = povm(model).effects
+    # Held here, so kraus_closed_form reuses these projectors.
+    pvm = model.pvm()
+    kraus = kraus_closed_form(model)
+    effects = kraus.povm().effects
     artifact = {
         "meta": _meta(),
         "kind": "povm",
@@ -219,9 +251,8 @@ def _cmd_povm(args) -> int:
         "effects": effects_to_json(effects),
     }
     if args.kraus:
-        artifact["kraus"] = effects_to_json(kraus_closed_form(model).operators)
+        artifact["kraus"] = effects_to_json(kraus.operators)
     if args.barycentric:
-        pvm = model.pvm()
         coords = {}
         for signs, effect in effects.items():
             coords[sign_string(signs)] = [

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ from .pauli import (
     Pvm,
     SetValidation,
     SignVector,
+    _parity,
     accept_set,
     build_pvm,
     sign_vectors,
@@ -79,13 +81,15 @@ class MeasurementModel:
     extracted Kraus operators and POVM do not depend on it because the
     observables commute; it is kept explicit so the circuit is fully
     specified.  ``validation`` is the report of the one validation of
-    the observable set, made on construction.
+    the observable set, made on construction.  ``pvm()`` hands out the
+    same projectors again while a caller still holds them.
     """
 
     observables: ObservableSet
     theta: float
     coupling_order: tuple[int, ...] = ()
     validation: SetValidation = field(init=False, repr=False, compare=False)
+    _pvm_ref: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "validation", accept_set(self.observables))
@@ -124,8 +128,21 @@ class MeasurementModel:
         """Records per sign vector, 2**(K*(N-1))."""
         return 1 << (self.size * (self.n_sites - 1))
 
+    def __getstate__(self):
+        # A weak reference cannot be pickled; a copy builds its own projectors.
+        return {**self.__dict__, "_pvm_ref": None}
+
     def pvm(self) -> Pvm:
-        return build_pvm(self.validation)
+        """The joint eigenprojectors, rebuilt only once no caller holds them.
+
+        The model keeps a weak reference, so the dense 2**K * 4**N stack
+        does not live as long as the model does.
+        """
+        pvm = self._pvm_ref() if self._pvm_ref is not None else None
+        if pvm is None:
+            pvm = build_pvm(self.validation)
+            object.__setattr__(self, "_pvm_ref", weakref.ref(pvm))
+        return pvm
 
     def to_json(self) -> dict:
         return {
@@ -168,6 +185,15 @@ class KrausSet:
             acc = term if acc is None else acc + term
         acc = self.multiplicity * acc
         return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+    def povm(self) -> Povm:
+        """Effects E_s = multiplicity * M_s^dag M_s."""
+        return Povm(
+            effects={
+                signs: self.multiplicity * (mat.conj().T @ mat)
+                for signs, mat in self.operators.items()
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -324,12 +350,7 @@ def kraus_closed_form(model: MeasurementModel) -> KrausSet:
 
 def povm(model: MeasurementModel) -> Povm:
     """POVM effects, multiplicity-weighted squares of the Kraus operators."""
-    kraus = kraus_closed_form(model)
-    effects = {
-        signs: kraus.multiplicity * (mat.conj().T @ mat)
-        for signs, mat in kraus.operators.items()
-    }
-    return Povm(effects=effects)
+    return kraus_closed_form(model).povm()
 
 
 def outcome_distribution(model: MeasurementModel, system: Ket) -> dict[SignVector, float]:
@@ -372,12 +393,18 @@ def sample_signs(
     rng = np.random.default_rng(seed)
     draws = rng.choice(branches.shape[1], size=shots, p=probs)
     by_pos = np.bincount(draws, minlength=branches.shape[1])
-    counts = {s: 0 for s in sign_vectors(model.size)}
-    for pos, count in enumerate(by_pos):
-        if count:
-            _, signs = _record_signs(pos, model.size, model.n_sites)
-            counts[signs] += int(count)
-    return counts
+    drawn = np.flatnonzero(by_pos)
+    k, n = model.size, model.n_sites
+    # Round r's sign is the parity of its N-bit block of the record index;
+    # the sign vector's index in sign_vectors order reads those parities
+    # as a K-bit number, round 1 on the high bit.
+    index = np.zeros(drawn.size, dtype=np.int64)
+    for r in range(k):
+        block = (drawn >> ((k - 1 - r) * n)) & ((1 << n) - 1)
+        index = (index << 1) | _parity(block)
+    # Float weights hold the counts exactly: each is at most shots < 2**53.
+    tally = np.bincount(index, weights=by_pos[drawn], minlength=1 << k)
+    return {s: int(c) for s, c in zip(sign_vectors(k), tally)}
 
 
 @dataclass(frozen=True)

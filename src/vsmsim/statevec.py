@@ -129,8 +129,8 @@ class Ket:
         """JSON-ready mapping ``{"n": ..., "re": [...], "im": [...]}``."""
         return {
             "n": self.n,
-            "re": [float(x) for x in self._amps.real],
-            "im": [float(x) for x in self._amps.imag],
+            "re": self._amps.real.tolist(),
+            "im": self._amps.imag.tolist(),
         }
 
     @classmethod

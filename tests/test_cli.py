@@ -7,11 +7,13 @@ would see them.
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from vsmsim.cli import main
+from vsmsim import cli, protocol
+from vsmsim.cli import _json_payload, main
 from vsmsim.meter import strength
 from vsmsim.pauli import ObservableSet, joint_pvm
 from vsmsim.protocol import MeasurementModel, outcome_distribution
@@ -112,6 +114,27 @@ class TestPovm:
                     math.cos(theta) ** 2 if col == row else math.sin(theta) ** 2 / 3
                 )
                 assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_builds_kraus_set_and_projectors_once(self, capsys, monkeypatch):
+        calls = {"build_pvm": 0, "kraus_closed_form": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(protocol, "build_pvm")
+        spy(cli, "kraus_closed_form")
+        code, out, _ = run(
+            capsys, "povm", "--obs", "XYZ,ZZZ", "--theta", "0.3", "--kraus", "--barycentric"
+        )
+        assert code == 0
+        assert {"effects", "kraus", "barycentric"} <= set(json.loads(out))
+        assert calls == {"build_pvm": 1, "kraus_closed_form": 1}
 
     def test_noncommuting_rejected(self, capsys):
         code, _, err = run(capsys, "povm", "--obs", "XX,ZX", "--theta", "0.3")
@@ -363,3 +386,65 @@ class TestTopLevel:
         code, _, err = run(capsys)
         assert code == 1
         assert "error" in err
+
+
+class TestJsonLayout:
+    """The artifact writer reproduces ``json.dumps(value, indent=2)`` exactly."""
+
+    FLOATS = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1,
+        2.5e300, -1.7976931348623157e308, 123456789.125,
+    ]
+    STRINGS = ["", "a, b", ", ", 'say "hi"', "naïve ψ €", "back\\slash", "tab\tnew\nline",
+               "[1, 2]", "{}", "1e16"]
+
+    def number(self, rng):
+        pick = rng.random()
+        if pick < 0.3:
+            return rng.choice(self.FLOATS)
+        if pick < 0.6:
+            return rng.choice([rng.randint(-10**6, 10**6), 2**70, -(2**64), 0])
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300)
+
+    def numeric_list(self, rng):
+        values = [self.number(rng) for _ in range(rng.randint(1, 12))]
+        pick = rng.random()
+        if pick < 0.4:
+            # One intruder that json spells differently or that nests.
+            intruder = rng.choice(
+                [True, False, None, rng.choice(self.STRINGS), [], {}, [1.5, 2], {"k": 1},
+                 np.float64(0.25), (3, 4.5)]
+            )
+            values.insert(rng.randint(0, len(values)), intruder)
+        return tuple(values) if rng.random() < 0.2 else values
+
+    def value(self, rng, depth):
+        pick = rng.random()
+        if depth == 0 or pick < 0.2:
+            return rng.choice(
+                [self.number(rng), rng.choice(self.STRINGS), True, False, None, [], {}, ()]
+            )
+        if pick < 0.45:
+            return self.numeric_list(rng)
+        if pick < 0.7:
+            return [self.value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        keys = self.STRINGS + ["re", "im", "ψ", 'q"uote']
+        return {rng.choice(keys): self.value(rng, depth - 1) for _ in range(rng.randint(0, 5))}
+
+    def test_matches_indent_2_on_random_artifacts(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            artifact = {"meta": {"seed": None}, "data": self.value(rng, 5)}
+            assert _json_payload(artifact) == json.dumps(artifact, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {}, [], (), "a, b", 1e16, -0.0, math.nan,
+            {"": {"": []}}, [[[]]], [{}, [], ()], [True, 1], [1, None], [1.0, "x, y"],
+            {7: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+            [[1, 2], [3, 4]], (1.5, -math.inf, 5e-324),
+        ],
+    )
+    def test_matches_indent_2_on_edge_cases(self, value):
+        assert _json_payload(value) == json.dumps(value, indent=2) + "\n"

@@ -1,0 +1,56 @@
+"""SHA-256 goldens of deterministic CLI artifacts.
+
+Each invocation writes its artifact with ``--out`` and the file's hash
+is compared with a pinned value, so any change to artifact bytes
+(layout, float rendering, RNG stream, numerics) fails here and must be
+deliberate.  The first nine are the README examples plus an 8-qubit
+POVM; the last three cover the MB-sized meter, a Y-containing POVM with
+Kraus operators and barycentric coordinates, and a JSON sweep.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from vsmsim.cli import main
+
+BELL = {"n": 2, "re": [0.7071067811865476, 0, 0, 0.7071067811865476], "im": [0, 0, 0, 0]}
+
+GOLDENS = [
+    ("meter --K 2 --N 3 --theta 0",
+     "1f35b8fd9ee40aee930c5c18164cb64b7ce8759c64f34c0031190445a277bdb0"),
+    ("povm --obs XX,ZZ --theta 30deg --kraus --barycentric",
+     "93e48a0d77319cb328fcd08972c105a309fc4afb58841a41989d1ec494d85425"),
+    ("distribution --obs XX,ZZ --theta 0.5 --state {bell}",
+     "3153f44809101f479e8e8527c658e34dd02b0c2d87197b4400f86c7875d32305"),
+    ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7 --samples 1000",
+     "aea95aabba92d999cbcc82b3174ca23a00554ffee3bb677bd86b19a4ef89a1c7"),
+    ("sweep --K 1 --N 2 --grid 0:90deg:25 --format csv",
+     "88d5a0f7eccefe02eafd85a74c8ab4ed99546082f62d4ddaec54454578cf24f8"),
+    ("bell-demo --theta 30deg --samples 100000 --seed 42",
+     "37f19332b88e095dc7c59b7c068b93f84abffddfa5be5954bc1caced573173ef"),
+    ("tangle --K 2 --N 2 --theta 0.3",
+     "096a3992a309bb1c82cb762581ff44e5aa6d16a0cf6896c59395cb4942b7dd76"),
+    ("qudit --d 4 --theta 0.5236",
+     "8f3f9cd4a93f56ae35de55158049673752a5418c21ee4eafe1be7d7d9dfa4f0d"),
+    ("povm --obs XXXXXXXX,ZZZZZZZZ --theta 0.4",
+     "daf3e62500ee469d0749137bffde211e53fe748e2247e4099328aaffde5e084c"),
+    ("meter --K 3 --N 6 --theta 0.4",
+     "5ad5c1406731c8ab77aa9aaad6ef6c3072ebaf000b4c96702a605ab1742937c0"),
+    ("povm --obs XYZ,ZZZ --theta 0.3 --kraus --barycentric",
+     "03fce7df93c3b42503232a315a8f01d66db12bf448cd19d16ed151200d533fce"),
+    ("sweep --K 2 --N 10 --grid 0:90deg:5 --format json",
+     "7f29fd40972a5f40273a62be71fd633d815c1c595bc05fa5eb09e7224ceb0de8"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDENS, ids=[c for c, _ in GOLDENS])
+def test_artifact_hash(command, digest, tmp_path, capsys):
+    bell = tmp_path / "bell.json"
+    bell.write_text(json.dumps(BELL), encoding="utf-8")
+    out = tmp_path / "artifact"
+    code = main(command.format(bell=bell).split() + ["--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

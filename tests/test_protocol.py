@@ -7,6 +7,9 @@ simulation.  POVM square roots are cross-checked via eigendecomposition.
 """
 
 import math
+import pickle
+import weakref
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -19,6 +22,7 @@ from vsmsim.errors import (
     DomainError,
     ParseError,
 )
+from vsmsim import protocol
 from vsmsim.meter import theta_for_strength
 from vsmsim.pauli import ObservableSet, joint_pvm, sign_vectors
 from vsmsim.protocol import (
@@ -147,6 +151,21 @@ class TestModel:
             MeasurementModel.from_json({"theta": 0.1})
         with pytest.raises(ParseError):
             MeasurementModel.from_json("[1,2]")
+
+    def test_pvm_shared_only_while_held(self):
+        m = model("XX,ZZ", 0.3)
+        held = m.pvm()
+        assert m.pvm() is held
+        gone = weakref.ref(held)
+        del held
+        assert gone() is None
+        held = m.pvm()
+        np.testing.assert_array_equal(
+            held.projectors[(1, 1)], joint_pvm(m.observables).projectors[(1, 1)]
+        )
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m
+        assert copy.pvm() is not held
 
 
 class TestCouple:
@@ -349,6 +368,21 @@ class TestSample:
         m = model("ZZ", 0.5)
         psi = Ket.normalized([1.0, 2.0, 0.5, -0.3])
         assert sample_signs(m, psi, 100, 11) == sample_signs(m, psi, 100, 11)
+
+    @pytest.mark.parametrize("obs", ["Z", "XX,ZZ", "XYZ,ZZZ", "XXX,ZZX,YYX", "XXXX,ZZZZ,XXZZ"])
+    def test_sample_signs_tally_matches_per_record_signs(self, obs):
+        # The same draws, each combined through its raw record.
+        m = model(obs, 0.9)
+        psi = random_ket(np.random.default_rng(101), m.n_sites)
+        branches = protocol._branches(m, psi)
+        probs = protocol._record_probabilities(branches)
+        draws = np.random.default_rng(13).choice(branches.shape[1], size=500, p=probs)
+        expected = Counter(
+            protocol._record_signs(int(pos), m.size, m.n_sites)[1] for pos in draws
+        )
+        counts = sample_signs(m, psi, 500, 13)
+        assert counts == {s: expected[s] for s in sign_vectors(m.size)}
+        assert list(counts) == sign_vectors(m.size)
 
 
 class TestQudit:
