@@ -48,7 +48,7 @@ from .entanglement import (
 )
 from .errors import ParseError, VsmError
 from .meter import MeterSpec, kfold_meter, parse_angle
-from .pauli import ObservableSet, sign_vectors
+from .pauli import ObservableSet
 from .protocol import (
     RNG_ALGORITHM,
     MeasurementModel,

@@ -11,10 +11,12 @@ with eps_{01} = -eps_{10} = 1: every site but the last pairs the first
 amplitude with the second and the third with the fourth, while the last
 site pairs first with third and second with fourth.  Amplitudes enter
 unconjugated.  ``n_tangle_contraction`` evaluates this sum literally and
-is the oracle; its cost grows as 16**n, so it is capped at 8 qubits.
+is the oracle the tests check against; its cost grows as 16**n, so it
+is capped at 8 qubits, and no report uses it.
 
 ``n_tangle_spinflip`` reaches the same number through spin-flip
-overlaps at O(2**n) cost.  For even n it evaluates the classic form
+overlaps at O(2**n) cost, and every report uses it at every size.  For
+even n it evaluates the classic form
 |sum_i (-1)^{popcount(i)} a_i a_{~i}|**2 (the overlap of the state with
 its spin-flipped image).  For odd n that overlap vanishes identically,
 because flipping all n qubits is an antisymmetric pairing; the tangle
@@ -49,7 +51,6 @@ which the reports flag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +163,6 @@ def n_tangle_spinflip(state: Ket) -> float:
     return float(4.0 * abs(t00 * t11 - t01 * t10))
 
 
-def n_tangle(state: Ket) -> tuple[float, str]:
-    """Tangle by the contraction when affordable, else by spin flips."""
-    if state.n <= CONTRACTION_MAX_QUBITS:
-        return n_tangle_contraction(state), "contraction"
-    return n_tangle_spinflip(state), "spinflip"
-
-
 def meter_tangle_simplified(spec: MeterSpec) -> float:
     """Meter-register tangle via the reduced two-block pairing.
 
@@ -193,14 +187,13 @@ def verify_strength_tangle(specs: list[MeterSpec]) -> list[TangleReport]:
     """Tabulate meter tangle against squared strength for each spec."""
     reports = []
     for spec in specs:
-        state = kfold_meter(spec)
-        tau, method = n_tangle(state)
+        tau = n_tangle_spinflip(kfold_meter(spec))
         s2 = spec.strength**2
         reports.append(
             TangleReport(
                 n=spec.n_qubits,
                 tau=tau,
-                method=method,
+                method="spinflip",
                 strength_squared=s2,
                 residual=abs(tau - s2),
                 monotone=tangle_is_monotone(spec.n_qubits),
@@ -211,11 +204,10 @@ def verify_strength_tangle(specs: list[MeterSpec]) -> list[TangleReport]:
 
 def state_tangle_report(state: Ket) -> TangleReport:
     """Tangle of an arbitrary state, with no strength context."""
-    tau, method = n_tangle(state)
     return TangleReport(
         n=state.n,
-        tau=tau,
-        method=method,
+        tau=n_tangle_spinflip(state),
+        method="spinflip",
         strength_squared=None,
         residual=None,
         monotone=tangle_is_monotone(state.n),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .statevec import Ket
+from .statevec import Ket, check_size
 
 THETA_MAX = math.pi / 2
 
@@ -65,19 +65,6 @@ class MeterSpec:
         if not 0.0 <= self.theta <= THETA_MAX:
             raise DomainError(f"theta must lie in [0, pi/2], got {self.theta!r}")
 
-    @classmethod
-    def from_string(cls, text: str) -> "MeterSpec":
-        """Parse ``"K,N,theta"`` with theta in radians or ``<x>deg``."""
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"meter spec {text!r} must be 'K,N,theta'")
-        try:
-            rounds = int(parts[0])
-            n_sites = int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"meter spec {text!r} needs integer K and N") from exc
-        return cls(rounds=rounds, n_sites=n_sites, theta=parse_angle(parts[2]))
-
     @property
     def n_qubits(self) -> int:
         return self.rounds * self.n_sites
@@ -95,28 +82,6 @@ class MeterSpec:
         return f"K={self.rounds},N={self.n_sites},theta={self.theta:.12g}"
 
 
-def ghz(n_sites: int, sign: int = 1) -> Ket:
-    """GHZ state (|0...0> + sign |1...1>)/sqrt(2) on ``n_sites`` qubits."""
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if n_sites < 1:
-        raise DomainError(f"GHZ needs at least one qubit, got {n_sites}")
-    amps = np.zeros(1 << n_sites, dtype=np.complex128)
-    amps[0] = 1.0 / math.sqrt(2.0)
-    amps[-1] = sign / math.sqrt(2.0)
-    return Ket(amps, require_normalized=False)
-
-
-def nonlocal_meter(n_sites: int, theta: float) -> Ket:
-    """Single-round meter cos(theta)|GHZ+> + sin(theta)|GHZ->."""
-    if not 0.0 <= theta <= THETA_MAX:
-        raise DomainError(f"theta must lie in [0, pi/2], got {theta!r}")
-    amps = np.zeros(1 << n_sites, dtype=np.complex128)
-    amps[0] = (math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
-    amps[-1] = (math.cos(theta) - math.sin(theta)) / math.sqrt(2.0)
-    return Ket(amps, require_normalized=False)
-
-
 def kfold_meter(spec: MeterSpec) -> Ket:
     """Entangled K-round meter register on N*K qubits.
 
@@ -129,6 +94,7 @@ def kfold_meter(spec: MeterSpec) -> Ket:
     alpha = math.cos(theta) + math.sqrt(d - 1) * math.sin(theta)
     beta = math.cos(theta) - math.sin(theta) / math.sqrt(d - 1)
     scale = 2.0 ** (-k / 2.0)
+    check_size(n * k, "the meter register")
     amps = np.zeros(1 << (n * k), dtype=np.complex128)
     block = (1 << n) - 1
     for pattern in range(d):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CommutationError, DependenceError, DimensionError, ParseError
-from .statevec import Operator
+from .statevec import check_size
 
 SignVector = tuple[int, ...]
 
@@ -147,13 +147,14 @@ class ProductObservable:
     def term(self) -> PauliTerm:
         return self.x_mask, self.z_mask, self.y_count % 4
 
-    def matrix(self) -> Operator:
-        """Dense 2**N x 2**N matrix, site 1 on the most significant bit."""
+    def matrix(self) -> np.ndarray:
+        """Read-only dense 2**N x 2**N matrix, site 1 on the most significant bit."""
         dim = 1 << self.n_sites
         cols = np.arange(dim)
         mat = np.zeros((dim, dim), dtype=np.complex128)
         mat[cols ^ self.x_mask, cols] = _column_values(self.term, self.n_sites)
-        return Operator(mat)
+        mat.setflags(write=False)
+        return mat
 
     def __str__(self) -> str:
         return "".join(l.value for l in self.letters)
@@ -259,14 +260,20 @@ def _subset_products(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
     return tuple(products)
 
 
-def _walsh_hadamard(values: np.ndarray, k: int) -> np.ndarray:
-    """h[j] = sum_t (-1)**popcount(j & t) values[t] over 2**k entries."""
-    out = values.reshape((2,) * k)
-    for ax in range(k):
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """h[..., j] = sum_t (-1)**popcount(j & t) values[..., t] over the last axis.
+
+    The last axis holds 2**k entries; the transform runs as k butterflies,
+    most significant bit first, so no 2**k x 2**k matrix is formed.
+    """
+    lead = values.ndim - 1
+    k = values.shape[-1].bit_length() - 1
+    out = values.reshape(values.shape[:-1] + (2,) * k)
+    for ax in range(lead, lead + k):
         a = np.take(out, 0, axis=ax)
         b = np.take(out, 1, axis=ax)
         out = np.stack((a + b, a - b), axis=ax)
-    return out.reshape(-1)
+    return out.reshape(values.shape)
 
 
 def validate_set(obs_set: ObservableSet) -> SetValidation:
@@ -307,7 +314,7 @@ def validate_set(obs_set: ObservableSet) -> SetValidation:
         )
         ranks = {
             signs: (int(total) << n) >> k
-            for signs, total in zip(sign_vectors(k), _walsh_hadamard(traces, k))
+            for signs, total in zip(sign_vectors(k), _walsh_hadamard(traces))
         }
         if expected_rank is not None and any(r != expected_rank for r in ranks.values()):
             failures.append(
@@ -355,6 +362,8 @@ def build_pvm(report: SetValidation) -> Pvm:
     if not report.ok:
         raise DependenceError("; ".join(report.failures))
     n, k = report.n_sites, report.size
+    # The 2**K projectors of 4**N entries each.
+    check_size(2 * n + k, "the joint projector stack")
     dim = 1 << n
     cols = np.arange(dim)
     outcomes = np.arange(1 << k, dtype=np.int64)

@@ -27,19 +27,13 @@ the multi-qubit scheme generalizes.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DimensionError,
-    DomainError,
-    ParseError,
-)
+from .errors import ConsistencyError, DimensionError, DomainError
 from .meter import MeterSpec, kfold_meter
 from .pauli import (
     ObservableSet,
@@ -47,11 +41,12 @@ from .pauli import (
     SetValidation,
     SignVector,
     _parity,
+    _walsh_hadamard,
     accept_set,
     build_pvm,
     sign_vectors,
 )
-from .statevec import Ket, tensor, apply_controlled
+from .statevec import Ket, apply_controlled, check_size, tensor
 
 # Every random draw in the package uses this generator family.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -63,13 +58,6 @@ RECORD_AGREEMENT_ATOL = 1e-10
 def sign_string(signs: SignVector) -> str:
     """Render a sign vector as characters, e.g. ``(1, -1)`` to ``"+-"``."""
     return "".join("+" if s == 1 else "-" for s in signs)
-
-
-def parse_sign_string(text: str) -> SignVector:
-    """Inverse of :func:`sign_string`."""
-    if not text or any(c not in "+-" for c in text):
-        raise ParseError(f"sign string must be non-empty over '+-', got {text!r}")
-    return tuple(1 if c == "+" else -1 for c in text)
 
 
 @dataclass(frozen=True)
@@ -151,24 +139,6 @@ class MeasurementModel:
             "order": list(self.coupling_order),
         }
 
-    @classmethod
-    def from_json(cls, data) -> "MeasurementModel":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid model JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ParseError(f"model JSON must be an object, got {type(data).__name__}")
-        try:
-            names = list(data["observables"])
-            theta = float(data["theta"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"model JSON needs 'observables' and 'theta': {exc}") from exc
-        order = tuple(int(x) for x in data.get("order", ()))
-        obs = ObservableSet.from_string(",".join(str(nm) for nm in names))
-        return cls(observables=obs, theta=theta, coupling_order=order)
-
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -179,12 +149,7 @@ class KrausSet:
 
     def completeness_residual(self) -> float:
         """Max-norm distance of multiplicity * sum(M^dag M) from the identity."""
-        acc = None
-        for mat in self.operators.values():
-            term = mat.conj().T @ mat
-            acc = term if acc is None else acc + term
-        acc = self.multiplicity * acc
-        return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+        return self.povm().completeness_residual()
 
     def povm(self) -> Povm:
         """Effects E_s = multiplicity * M_s^dag M_s."""
@@ -252,50 +217,26 @@ def couple(model: MeasurementModel, system: Ket) -> Ket:
     return state
 
 
-def combine_outcomes(raw: tuple[int, ...], rounds: int, n_sites: int) -> SignVector:
-    """Collapse a round-major raw record into per-round sign products."""
-    if len(raw) != rounds * n_sites:
-        raise DimensionError(
-            f"raw record has {len(raw)} entries, expected {rounds * n_sites}"
-        )
-    if any(v not in (1, -1) for v in raw):
-        raise DomainError("raw record entries must be +1 or -1")
-    out = []
-    for k in range(rounds):
-        block = raw[k * n_sites : (k + 1) * n_sites]
-        out.append(int(np.prod(block)))
-    return tuple(out)
+def _sign_index(records: np.ndarray, rounds: int, n_sites: int) -> np.ndarray:
+    """Index in ``sign_vectors`` order of each X-readout record index's sign vector.
 
-
-def _hadamard_columns(block: np.ndarray) -> np.ndarray:
-    """Right-multiply ``block`` (rows x 2**m) by the m-fold Hadamard product.
-
-    Implemented as a fast transform along axis 1 so no 2**m x 2**m
-    matrix is ever materialized.
+    Bit 1 of a record index is a -1 readout, so round r's combined sign
+    is the parity of its N-bit block; the parities, read as a K-bit
+    number with round 1 on the high bit, are the index.
     """
-    rows, dim = block.shape
-    m = dim.bit_length() - 1
-    out = block.reshape((rows,) + (2,) * m)
-    for ax in range(1, m + 1):
-        a = np.take(out, 0, axis=ax)
-        b = np.take(out, 1, axis=ax)
-        out = np.stack((a + b, a - b), axis=ax)
-    return out.reshape(rows, dim) / math.sqrt(2.0) ** m
-
-
-def _record_signs(pos: int, rounds: int, n_sites: int) -> tuple[tuple[int, ...], SignVector]:
-    """Raw record and combined signs of X-readout index ``pos``."""
-    total = rounds * n_sites
-    raw = tuple(1 - 2 * ((pos >> (total - 1 - i)) & 1) for i in range(total))
-    return raw, combine_outcomes(raw, rounds, n_sites)
+    index = np.zeros(np.shape(records), dtype=np.int64)
+    block = (1 << n_sites) - 1
+    for r in range(rounds):
+        index = (index << 1) | _parity((records >> ((rounds - 1 - r) * n_sites)) & block)
+    return index
 
 
 def _branches(model: MeasurementModel, system: Ket) -> np.ndarray:
     """Unnormalized conditional system states, one column per record index."""
-    dim_s = 1 << model.n_sites
-    dim_m = 1 << (model.size * model.n_sites)
+    m = model.size * model.n_sites
     coupled = couple(model, system)
-    return _hadamard_columns(coupled.amplitudes.reshape(dim_s, dim_m))
+    block = coupled.amplitudes.reshape(1 << model.n_sites, 1 << m)
+    return _walsh_hadamard(block) / math.sqrt(2.0) ** m
 
 
 def kraus_bruteforce(model: MeasurementModel, *, atol: float = RECORD_AGREEMENT_ATOL) -> KrausSet:
@@ -308,29 +249,30 @@ def kraus_bruteforce(model: MeasurementModel, *, atol: float = RECORD_AGREEMENT_
     closed form is tested against.
     """
     n, k = model.n_sites, model.size
+    # One 2**N x 2**N operator per record.
+    check_size(n * k + 2 * n, "the record operator stack")
     dim_s = 1 << n
     dim_m = 1 << (n * k)
     stacked = np.empty((dim_m, dim_s, dim_s), dtype=np.complex128)
     for j in range(dim_s):
         # Column j of every record operator comes from input |j>.
         stacked[:, :, j] = _branches(model, Ket.basis(n, j)).T
-    reps: dict[SignVector, np.ndarray] = {s: None for s in sign_vectors(k)}
-    counts: dict[SignVector, int] = {s: 0 for s in reps}
-    for pos in range(dim_m):
-        _, signs = _record_signs(pos, k, n)
-        counts[signs] += 1
-        if reps[signs] is None:
-            reps[signs] = stacked[pos]
-        else:
-            deviation = float(np.max(np.abs(stacked[pos] - reps[signs])))
-            if deviation > atol:
-                raise ConsistencyError(
-                    f"records with signs {sign_string(signs)} disagree by {deviation:.3e}"
-                )
+    index = _sign_index(np.arange(dim_m), k, n)
+    counts = dict(zip(sign_vectors(k), np.bincount(index, minlength=1 << k).tolist()))
     expected = model.multiplicity
     if any(c != expected for c in counts.values()):
         raise ConsistencyError(f"record counts {counts} differ from multiplicity {expected}")
-    return KrausSet(operators={s: reps[s] for s in sign_vectors(k)}, multiplicity=expected)
+    operators = {}
+    for s, signs in enumerate(sign_vectors(k)):
+        members = np.flatnonzero(index == s)
+        rep = stacked[members[0]]
+        deviation = float(np.max(np.abs(stacked[members] - rep)))
+        if deviation > atol:
+            raise ConsistencyError(
+                f"records with signs {sign_string(signs)} disagree by {deviation:.3e}"
+            )
+        operators[signs] = rep
+    return KrausSet(operators=operators, multiplicity=expected)
 
 
 def kraus_closed_form(model: MeasurementModel) -> KrausSet:
@@ -377,7 +319,9 @@ def sample(model: MeasurementModel, system: Ket, seed) -> OutcomeRecord:
     probs = _record_probabilities(branches)
     rng = np.random.default_rng(seed)
     pos = int(rng.choice(branches.shape[1], p=probs))
-    raw, signs = _record_signs(pos, model.size, model.n_sites)
+    total = model.size * model.n_sites
+    raw = tuple(1 - 2 * ((pos >> (total - 1 - i)) & 1) for i in range(total))
+    signs = sign_vectors(model.size)[int(_sign_index(pos, model.size, model.n_sites))]
     post = Ket.normalized(branches[:, pos])
     return OutcomeRecord(raw=raw, signs=signs, post_state=post, probability=float(probs[pos]))
 
@@ -388,20 +332,16 @@ def sample_signs(
     """Draw ``shots`` records at once and tally the combined sign vectors."""
     if shots < 1:
         raise DomainError(f"shots must be positive, got {shots}")
+    # The draws are one int64 per shot.
+    check_size((int(shots) - 1).bit_length(), f"drawing {shots} shots")
     branches = _branches(model, system)
     probs = _record_probabilities(branches)
     rng = np.random.default_rng(seed)
     draws = rng.choice(branches.shape[1], size=shots, p=probs)
     by_pos = np.bincount(draws, minlength=branches.shape[1])
     drawn = np.flatnonzero(by_pos)
-    k, n = model.size, model.n_sites
-    # Round r's sign is the parity of its N-bit block of the record index;
-    # the sign vector's index in sign_vectors order reads those parities
-    # as a K-bit number, round 1 on the high bit.
-    index = np.zeros(drawn.size, dtype=np.int64)
-    for r in range(k):
-        block = (drawn >> ((k - 1 - r) * n)) & ((1 << n) - 1)
-        index = (index << 1) | _parity(block)
+    k = model.size
+    index = _sign_index(drawn, k, model.n_sites)
     # Float weights hold the counts exactly: each is at most shots < 2**53.
     tally = np.bincount(index, weights=by_pos[drawn], minlength=1 << k)
     return {s: int(c) for s, c in zip(sign_vectors(k), tally)}
@@ -477,17 +417,6 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     """Row-major real/imag parts, JSON-ready."""
     arr = np.asarray(mat, dtype=np.complex128)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    try:
-        re = np.asarray(data["re"], dtype=np.float64)
-        im = np.asarray(data["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"matrix JSON needs 're' and 'im' arrays: {exc}") from exc
-    if re.shape != im.shape:
-        raise ParseError(f"matrix JSON re/im shapes differ: {re.shape} vs {im.shape}")
-    return re + 1j * im
 
 
 def effects_to_json(effects: dict[SignVector, np.ndarray]) -> dict:

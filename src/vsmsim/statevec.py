@@ -16,20 +16,12 @@ one place where rescaling happens.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DimensionError,
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-)
+from .errors import DimensionError, DomainError, ParseError, ResourceLimitError
 
 # A normalized ket may drift from unit norm by at most this much.
 NORM_ATOL = 1e-10
@@ -51,27 +43,40 @@ def max_qubits() -> int:
     return value
 
 
+def check_size(qubits: int, what: str) -> None:
+    """Refuse a dense object of 2**qubits entries above the ``max_qubits()`` cap.
+
+    Callers check before they allocate.  ``qubits`` may come from outside
+    input, so 2**qubits is never formed here.
+    """
+    limit = max_qubits()
+    if qubits > limit:
+        raise ResourceLimitError(
+            f"{what} needs 2^{qubits} entries, above the limit of {limit} qubits "
+            "(set VSM_MAX_QUBITS to raise it)"
+        )
+
+
 class Ket:
     """Immutable n-qubit state vector of 2**n complex amplitudes.
 
     Amplitudes are stored as a read-only complex128 array.  ``n == 0``
-    is allowed (a scalar residue left after projecting out every qubit).
+    is allowed (a single amplitude).
     """
 
     __slots__ = ("_amps", "n")
 
     def __init__(self, amplitudes: Iterable[complex], *, require_normalized: bool = True):
-        arr = np.array(amplitudes, dtype=np.complex128)
+        arr = np.asarray(amplitudes)
         if arr.ndim != 1:
             raise DimensionError(f"amplitudes must be one-dimensional, got shape {arr.shape}")
         size = arr.size
         if size < 1 or size & (size - 1):
             raise DimensionError(f"amplitude count must be a power of two, got {size}")
         n = size.bit_length() - 1
-        if n > max_qubits():
-            raise ResourceLimitError(
-                f"{n} qubits exceed the limit of {max_qubits()} (set VSM_MAX_QUBITS to raise it)"
-            )
+        check_size(n, "the ket")
+        # The ket owns a private copy, so no caller can write to it.
+        arr = np.array(arr, dtype=np.complex128)
         if require_normalized:
             norm = float(np.linalg.norm(arr))
             if abs(norm - 1.0) > NORM_ATOL:
@@ -108,6 +113,7 @@ class Ket:
         """Computational basis state ``|index>`` on ``n`` qubits."""
         if n < 0:
             raise DomainError(f"qubit count must be non-negative, got {n}")
+        check_size(n, "the ket")
         dim = 1 << n
         if not 0 <= index < dim:
             raise DomainError(f"basis index {index} out of range for {n} qubits")
@@ -156,11 +162,7 @@ class Ket:
         if n < 0:
             raise ParseError(f"ket JSON has negative qubit count {n}")
         # Checked before 1 << n, which would build a huge integer for a hostile n.
-        if n > max_qubits():
-            raise ResourceLimitError(
-                f"ket JSON has {n} qubits, above the limit of {max_qubits()} "
-                "(set VSM_MAX_QUBITS to raise it)"
-            )
+        check_size(n, "ket JSON")
         dim = 1 << n
         if re.shape != (dim,) or im.shape != (dim,):
             raise ParseError(
@@ -176,65 +178,16 @@ class Ket:
         return f"Ket(n={self.n})"
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Square matrix on n qubits with testable structure flags."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"operator must be square, got shape {arr.shape}")
-        size = arr.shape[0]
-        if size < 1 or size & (size - 1):
-            raise DimensionError(f"operator dimension must be a power of two, got {size}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0].bit_length() - 1
-
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
-        return bool(np.allclose(self.entries, self.entries.conj().T, rtol=0.0, atol=atol))
-
-    def is_unitary(self, atol: float = 1e-10) -> bool:
-        eye = np.eye(self.entries.shape[0])
-        return bool(np.allclose(self.entries.conj().T @ self.entries, eye, rtol=0.0, atol=atol))
-
-    def is_positive(self, atol: float = 1e-10) -> bool:
-        """Positive semidefinite up to an eigenvalue floor of ``-atol``."""
-        if not self.is_hermitian(atol):
-            return False
-        return bool(np.linalg.eigvalsh(self.entries).min() >= -atol)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-
 def tensor(parts: Sequence[Ket]) -> Ket:
     """Tensor product of kets, first factor owning the most significant bits."""
     if len(parts) == 0:
         raise DomainError("tensor needs at least one factor")
-    total = sum(p.n for p in parts)
-    if total > max_qubits():
-        raise ResourceLimitError(
-            f"tensor product spans {total} qubits, above the limit of {max_qubits()}"
-        )
+    check_size(sum(p.n for p in parts), "the tensor product")
     amps = parts[0].amplitudes
     for part in parts[1:]:
         amps = np.kron(amps, part.amplitudes)
     # Factors are unit norm already; skip the gate to avoid tolerance stacking.
     return Ket(amps, require_normalized=False)
-
-
-def _as_matrix(operator) -> np.ndarray:
-    if isinstance(operator, Operator):
-        return operator.entries
-    return np.asarray(operator, dtype=np.complex128)
 
 
 def apply_controlled(gate: np.ndarray, control: int, target: int, state: Ket) -> Ket:
@@ -248,7 +201,7 @@ def apply_controlled(gate: np.ndarray, control: int, target: int, state: Ket) ->
         raise DimensionError(f"control={control}, target={target} out of range for n={n}")
     if control == target:
         raise DimensionError("control and target must be distinct qubits")
-    u = _as_matrix(gate)
+    u = np.asarray(gate, dtype=np.complex128)
     if u.shape != (2, 2):
         raise DimensionError(f"controlled gate must be 2x2, got {u.shape}")
     amps = state.amplitudes.reshape((2,) * n)
@@ -264,51 +217,3 @@ def apply_controlled(gate: np.ndarray, control: int, target: int, state: Ket) ->
     out = amps.copy()
     out[tuple(picker)] = rotated
     return Ket(out.reshape(-1), require_normalized=False)
-
-
-def project_x(state: Ket, qubit: int, sign: int) -> tuple[Ket, float]:
-    """Project ``qubit`` onto the X eigenstate ``|sign>`` and drop it.
-
-    Returns the unnormalized branch on the remaining qubits together with
-    the branch probability (its squared norm).  The branch keeps its raw
-    weight so successive projections compose; normalize explicitly when a
-    post-measurement state is wanted.
-    """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    n = state.n
-    if not 1 <= qubit <= n:
-        raise DimensionError(f"qubit {qubit} out of range for n={n}")
-    amps = state.amplitudes.reshape((2,) * n)
-    ax = qubit - 1
-    branch = (np.take(amps, 0, axis=ax) + sign * np.take(amps, 1, axis=ax)) / math.sqrt(2.0)
-    vec = branch.reshape(-1)
-    prob = float(np.real(np.vdot(vec, vec)))
-    return Ket(vec, require_normalized=False), prob
-
-
-def inner(a: Ket, b: Ket) -> complex:
-    """Inner product ``<a|b>`` (conjugate-linear in ``a``)."""
-    if a.n != b.n:
-        raise DimensionError(f"kets live on {a.n} and {b.n} qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: Ket, b: Ket) -> float:
-    """``|<a|b>|**2`` clipped into [0, 1] against floating-point overshoot."""
-    val = abs(inner(a, b)) ** 2
-    return float(min(max(val, 0.0), 1.0))
-
-
-def expectation(operator, state: Ket) -> float:
-    """Expectation value of a Hermitian operator in ``state``."""
-    mat = _as_matrix(operator)
-    dim = state.amplitudes.size
-    if mat.shape != (dim, dim):
-        raise DimensionError(f"operator shape {mat.shape} does not match dimension {dim}")
-    if not np.allclose(mat, mat.conj().T, rtol=0.0, atol=1e-10):
-        raise DomainError("expectation requires a Hermitian operator")
-    val = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
-    if abs(val.imag) > 1e-10:
-        raise ConsistencyError(f"expectation value has imaginary residue {val.imag!r}")
-    return float(val.real)

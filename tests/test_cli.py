@@ -78,6 +78,13 @@ class TestMeter:
         assert code == 1
         assert "error" in err
 
+    def test_register_over_qubit_cap(self, capsys, monkeypatch):
+        # 64 qubits: refused before the 2**64 amplitudes are requested.
+        monkeypatch.delenv("VSM_MAX_QUBITS", raising=False)
+        code, _, err = run(capsys, "meter", "--K", "4", "--N", "16", "--theta", "0.3")
+        assert code == 1
+        assert "above the limit of 24" in err
+
 
 class TestPovm:
     def test_strong_limit_effects_are_projectors(self, capsys):
@@ -140,6 +147,13 @@ class TestPovm:
         code, _, err = run(capsys, "povm", "--obs", "XX,ZX", "--theta", "0.3")
         assert code == 1
         assert "error" in err
+
+    def test_projector_stack_over_qubit_cap(self, capsys, monkeypatch):
+        # Two projectors of 16 x 16 entries count as 2N + K = 9 qubits.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "8")
+        code, _, err = run(capsys, "povm", "--obs", "XXXX", "--theta", "0.3")
+        assert code == 1
+        assert "above the limit of 8" in err
 
 
 class TestDistribution:
@@ -214,6 +228,17 @@ class TestSample:
         artifact = json.loads(out)
         assert artifact["kind"] == "sample-counts"
         assert sum(artifact["counts"].values()) == 250
+
+    def test_shots_over_qubit_cap(self, capsys, monkeypatch):
+        # Five draws need 2^3 entries; the two-qubit circuit itself fits.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "2")
+        state = json.dumps({"n": 1, "re": [1.0, 0.0], "im": [0.0, 0.0]})
+        code, _, err = run(
+            capsys, "sample", "--obs", "Z", "--theta", "0.3",
+            "--state", state, "--seed", "1", "--samples", "5",
+        )
+        assert code == 1
+        assert "above the limit of 2" in err
 
 
 class TestSweep:

@@ -15,7 +15,6 @@ from vsmsim.entanglement import (
     CONTRACTION_MAX_QUBITS,
     TangleReport,
     meter_tangle_simplified,
-    n_tangle,
     n_tangle_contraction,
     n_tangle_spinflip,
     state_tangle_report,
@@ -23,7 +22,7 @@ from vsmsim.entanglement import (
     verify_strength_tangle,
 )
 from vsmsim.errors import DomainError, ResourceLimitError
-from vsmsim.meter import MeterSpec, ghz, kfold_meter
+from vsmsim.meter import MeterSpec, kfold_meter
 from vsmsim.statevec import Ket, tensor
 
 EPS = ((0, 1), (-1, 0))
@@ -66,6 +65,12 @@ def random_ket(rng, n):
     return Ket.normalized(vec)
 
 
+def ghz_ket(n):
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[[0, -1]] = 1.0
+    return Ket.normalized(vec)
+
+
 def w_state(n):
     vec = np.zeros(1 << n, dtype=complex)
     for q in range(n):
@@ -91,7 +96,7 @@ class TestLoopOracle:
         )
 
     def test_ghz_three_by_loop(self):
-        state = ghz(3, 1)
+        state = ghz_ket(3)
         assert loop_tangle(state.amplitudes, 3) == pytest.approx(1.0, abs=1e-12)
         assert n_tangle_contraction(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -114,7 +119,7 @@ class TestKnownValues:
 
     def test_ghz_states_maximal(self):
         for n in (2, 3, 4):
-            assert n_tangle_contraction(ghz(n, 1)) == pytest.approx(1.0, abs=1e-12)
+            assert n_tangle_contraction(ghz_ket(n)) == pytest.approx(1.0, abs=1e-12)
 
     def test_w_states_zero(self):
         assert n_tangle_contraction(w_state(3)) == pytest.approx(0.0, abs=1e-12)
@@ -162,14 +167,7 @@ class TestSpinflip:
                 )
 
     def test_odd_ghz_beyond_contraction_budget(self):
-        state = ghz(9, 1)
-        tau, method = n_tangle(state)
-        assert method == "spinflip"
-        assert tau == pytest.approx(1.0, abs=1e-12)
-
-    def test_auto_selects_contraction_when_small(self):
-        _, method = n_tangle(ghz(3, 1))
-        assert method == "contraction"
+        assert n_tangle_spinflip(ghz_ket(9)) == pytest.approx(1.0, abs=1e-12)
 
     def test_contraction_budget_enforced(self):
         big = Ket.basis(CONTRACTION_MAX_QUBITS + 1, 0)
@@ -241,14 +239,15 @@ class TestStrengthTangleIdentity:
             MeterSpec(rounds=3, n_sites=3, theta=0.5),
         ]
         small, large = verify_strength_tangle(specs)
-        assert small.n == 4 and small.method == "contraction" and small.monotone
+        assert small.n == 4 and small.method == "spinflip" and small.monotone
         assert large.n == 9 and large.method == "spinflip" and not large.monotone
 
 
 class TestReports:
     def test_state_report(self):
-        report = state_tangle_report(ghz(2, 1))
+        report = state_tangle_report(ghz_ket(2))
         assert report.tau == pytest.approx(1.0, abs=1e-12)
+        assert report.method == "spinflip"
         assert report.strength_squared is None
         assert report.residual is None
         assert report.monotone

@@ -31,7 +31,7 @@ GOLDENS = [
     ("bell-demo --theta 30deg --samples 100000 --seed 42",
      "37f19332b88e095dc7c59b7c068b93f84abffddfa5be5954bc1caced573173ef"),
     ("tangle --K 2 --N 2 --theta 0.3",
-     "096a3992a309bb1c82cb762581ff44e5aa6d16a0cf6896c59395cb4942b7dd76"),
+     "1e7f598273a3090cc490a506d293945db4909b169ac105f1f3dd27aa87daf338"),
     ("qudit --d 4 --theta 0.5236",
      "8f3f9cd4a93f56ae35de55158049673752a5418c21ee4eafe1be7d7d9dfa4f0d"),
     ("povm --obs XXXXXXXX,ZZZZZZZZ --theta 0.4",

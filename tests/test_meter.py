@@ -11,17 +11,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from vsmsim.errors import DomainError, ParseError
-from vsmsim.meter import (
-    MeterSpec,
-    ghz,
-    kfold_meter,
-    nonlocal_meter,
-    parse_angle,
-    strength,
-    theta_for_strength,
-)
-from vsmsim.statevec import expectation
+from vsmsim.errors import DomainError
+from vsmsim.meter import MeterSpec, kfold_meter, parse_angle, strength, theta_for_strength
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -31,6 +22,11 @@ def ghz_vector(n, sign):
     vec[0] = 1 / math.sqrt(2)
     vec[-1] = sign / math.sqrt(2)
     return vec
+
+
+def single_round(n, theta):
+    """Amplitudes of the one-round meter on n sites."""
+    return kfold_meter(MeterSpec(rounds=1, n_sites=n, theta=theta)).amplitudes
 
 
 def kfold_oracle(k, n, theta):
@@ -50,71 +46,51 @@ def kfold_oracle(k, n, theta):
 
 
 class TestGhz:
-    def test_amplitudes(self):
-        state = ghz(3, 1)
-        expected = np.zeros(8)
-        expected[[0, 7]] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes, expected)
+    """At theta = 0 and pi/2 the one-round meter is GHZ+ and GHZ-."""
 
     def test_minus_sign_eigenstate(self):
+        # GHZ+- are the +-1 eigenstates of X on every site.
         xxx = reduce(np.kron, [X] * 3)
-        assert expectation(xxx, ghz(3, -1)) == pytest.approx(-1.0)
-        assert expectation(xxx, ghz(3, 1)) == pytest.approx(1.0)
+        for theta, eigenvalue in ((0.0, 1.0), (math.pi / 2, -1.0)):
+            amps = single_round(3, theta)
+            assert np.vdot(amps, xxx @ amps).real == pytest.approx(eigenvalue)
 
     def test_single_qubit(self):
         np.testing.assert_allclose(
-            ghz(1, -1).amplitudes, [1 / math.sqrt(2), -1 / math.sqrt(2)]
+            single_round(1, math.pi / 2), [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-15
         )
-
-    def test_bad_sign(self):
-        with pytest.raises(DomainError):
-            ghz(2, 2)
 
 
 class TestNonlocalMeter:
+    """The one-round meter cos(theta)|GHZ+> + sin(theta)|GHZ->."""
+
     def test_theta_zero_is_ghz_plus(self):
-        np.testing.assert_allclose(
-            nonlocal_meter(3, 0.0).amplitudes, ghz(3, 1).amplitudes
-        )
+        np.testing.assert_allclose(single_round(3, 0.0), ghz_vector(3, 1))
 
     def test_weak_point_is_all_zeros(self):
-        state = nonlocal_meter(2, math.pi / 4)
         expected = np.zeros(4)
         expected[0] = 1.0
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(single_round(2, math.pi / 4), expected, atol=1e-15)
 
     def test_two_site_amplitudes(self):
         theta = math.pi / 8
-        state = nonlocal_meter(2, theta)
         c, s = math.cos(theta), math.sin(theta)
         expected = [(c + s) / math.sqrt(2), 0.0, 0.0, (c - s) / math.sqrt(2)]
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(single_round(2, theta), expected, atol=1e-15)
 
     def test_ghz_decomposition(self):
         for theta in np.linspace(0, math.pi / 2, 7):
-            state = nonlocal_meter(3, float(theta))
-            combo = math.cos(theta) * ghz(3, 1).amplitudes + math.sin(
-                theta
-            ) * ghz(3, -1).amplitudes
-            np.testing.assert_allclose(state.amplitudes, combo, atol=1e-14)
+            combo = math.cos(theta) * ghz_vector(3, 1) + math.sin(theta) * ghz_vector(3, -1)
+            np.testing.assert_allclose(single_round(3, float(theta)), combo, atol=1e-14)
 
     def test_theta_domain(self):
         with pytest.raises(DomainError):
-            nonlocal_meter(2, -0.1)
+            single_round(2, -0.1)
         with pytest.raises(DomainError):
-            nonlocal_meter(2, math.pi / 2 + 0.1)
+            single_round(2, math.pi / 2 + 0.1)
 
 
 class TestKfoldMeter:
-    def test_single_round_matches_nonlocal(self):
-        for theta in (0.0, 0.4, math.pi / 4, 1.2):
-            spec = MeterSpec(rounds=1, n_sites=3, theta=theta)
-            np.testing.assert_allclose(
-                kfold_meter(spec).amplitudes,
-                nonlocal_meter(3, theta).amplitudes,
-                atol=1e-15,
-            )
-
     def test_matches_ghz_combination_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -200,22 +176,6 @@ class TestStrength:
 
 
 class TestMeterSpec:
-    def test_from_string_radians(self):
-        spec = MeterSpec.from_string("2,3,0.5")
-        assert (spec.rounds, spec.n_sites, spec.theta) == (2, 3, 0.5)
-
-    def test_from_string_degrees(self):
-        spec = MeterSpec.from_string("1,2,30deg")
-        assert spec.theta == pytest.approx(math.pi / 6)
-
-    def test_from_string_errors(self):
-        with pytest.raises(ParseError):
-            MeterSpec.from_string("1,2")
-        with pytest.raises(ParseError):
-            MeterSpec.from_string("a,2,0.1")
-        with pytest.raises(ParseError):
-            MeterSpec.from_string("1,2,fast")
-
     def test_angle_parsing(self):
         assert parse_angle("45deg") == pytest.approx(math.pi / 4)
         assert parse_angle("0.25") == 0.25

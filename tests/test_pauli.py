@@ -97,8 +97,10 @@ class TestMatrix:
 
     def test_matrix_flags(self):
         op = ProductObservable.from_string("XY").matrix()
-        assert op.is_hermitian()
-        assert op.is_unitary()
+        np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
+        np.testing.assert_allclose(op.conj().T @ op, np.eye(4), atol=1e-15)
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 class TestCommutes:

@@ -11,24 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from vsmsim.errors import (
-    ConsistencyError,
-    DimensionError,
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-)
-from vsmsim.statevec import (
-    Ket,
-    Operator,
-    apply_controlled,
-    expectation,
-    fidelity,
-    inner,
-    max_qubits,
-    project_x,
-    tensor,
-)
+from vsmsim.errors import DimensionError, DomainError, ParseError, ResourceLimitError
+from vsmsim.statevec import Ket, apply_controlled, max_qubits, tensor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -178,6 +162,11 @@ class TestTensor:
         with pytest.raises(DomainError):
             tensor([])
 
+    def test_qubit_cap_checked(self, monkeypatch):
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+        with pytest.raises(ResourceLimitError, match="above the limit of 3"):
+            tensor([Ket.basis(2, 0), Ket.basis(2, 0)])
+
 
 class TestApplyControlled:
     def test_cnot_flips_target(self):
@@ -227,87 +216,3 @@ class TestApplyControlled:
     def test_control_equals_target_rejected(self):
         with pytest.raises(DimensionError):
             apply_controlled(X, 2, 2, Ket.basis(2, 0))
-
-
-class TestProjectX:
-    def test_zero_state_half_half(self):
-        branch, prob = project_x(Ket.basis(1, 0), 1, 1)
-        assert prob == pytest.approx(0.5)
-        assert branch.n == 0
-        np.testing.assert_allclose(branch.amplitudes, [1 / math.sqrt(2)])
-
-    def test_plus_state_minus_branch_empty(self):
-        plus = Ket.normalized([1.0, 1.0])
-        _, prob = project_x(plus, 1, -1)
-        assert prob == pytest.approx(0.0, abs=1e-15)
-
-    def test_ghz_branch_unnormalized(self):
-        ghz2 = Ket.normalized([1.0, 0.0, 0.0, 1.0])
-        branch, prob = project_x(ghz2, 1, 1)
-        assert prob == pytest.approx(0.5)
-        np.testing.assert_allclose(branch.amplitudes, [0.5, 0.5])
-
-    def test_branch_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(41)
-        for n in (1, 3, 5):
-            state = random_ket(rng, n)
-            for q in range(1, n + 1):
-                _, p_plus = project_x(state, q, 1)
-                _, p_minus = project_x(state, q, -1)
-                assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(DomainError):
-            project_x(Ket.basis(1, 0), 1, 0)
-
-
-class TestInnerProducts:
-    def test_inner_conjugates_left(self):
-        a = Ket.normalized([1.0, 1.0j])
-        b = Ket.basis(1, 1)
-        assert inner(a, b) == pytest.approx(-1j / math.sqrt(2))
-
-    def test_fidelity_bounds(self):
-        rng = np.random.default_rng(43)
-        a, b = random_ket(rng, 4), random_ket(rng, 4)
-        assert 0.0 <= fidelity(a, b) <= 1.0
-        assert fidelity(a, a) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner(Ket.basis(1, 0), Ket.basis(2, 0))
-
-    def test_expectation_of_pauli_product(self):
-        ghz2 = Ket.normalized([1.0, 0.0, 0.0, 1.0])
-        zz = np.kron(Z, Z)
-        assert expectation(zz, ghz2) == pytest.approx(1.0)
-        xx = np.kron(X, X)
-        assert expectation(xx, ghz2) == pytest.approx(1.0)
-
-    def test_expectation_requires_hermitian(self):
-        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DomainError):
-            expectation(lower, Ket.basis(1, 0))
-
-
-class TestOperator:
-    def test_pauli_flags(self):
-        op = Operator(Y)
-        assert op.is_hermitian()
-        assert op.is_unitary()
-        assert not op.is_positive()
-
-    def test_projector_flags(self):
-        proj = Operator(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert proj.is_hermitian()
-        assert proj.is_positive()
-        assert not proj.is_unitary()
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            Operator(np.zeros((2, 3)))
-
-    def test_array_conversion(self):
-        op = Operator(Z)
-        np.testing.assert_array_equal(np.asarray(op), Z)
-        assert op.n == 1
