@@ -60,7 +60,7 @@ from .protocol import (
     sample_signs,
     sign_string,
 )
-from .statevec import Ket
+from .statevec import Ket, check_size
 
 QUBIT_ORDER_NOTE = "qubit 1 = most significant bit"
 
@@ -209,6 +209,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ParseError(f"grid point count {parts[2]!r} is not an integer") from exc
     if points < 2:
         raise ParseError(f"grid needs at least 2 points, got {points}")
+    check_size((points - 1).bit_length(), "the theta grid")
     return np.linspace(start, end, points)
 
 

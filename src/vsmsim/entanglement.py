@@ -15,7 +15,7 @@ is the oracle the tests check against; its cost grows as 16**n, so it
 is capped at 8 qubits, and no report uses it.
 
 ``n_tangle_spinflip`` reaches the same number through spin-flip
-overlaps at O(2**n) cost, and every report uses it at every size.  For
+overlaps at O(2**n) cost, and ``tangle --state`` reports use it.  For
 even n it evaluates the classic form
 |sum_i (-1)^{popcount(i)} a_i a_{~i}|**2 (the overlap of the state with
 its spin-flipped image).  For odd n that overlap vanishes identically,
@@ -25,12 +25,29 @@ B is the 2**(n-1) x 2 reshape of the amplitudes (last qubit as column)
 and F is the spin-flip pairing on the first n-1 qubits, so the odd
 branch evaluates that determinant.
 
+``n_tangle_patterns`` is the spin-flip evaluation restricted to the
+K-round meter, whose only nonzero amplitudes a_p sit on the 2**K block
+patterns p (see ``meter``); ``verify_strength_tangle`` uses it, so
+meter reports cost O(2**K) whatever N is.  The complement of pattern p
+is pattern ~p, and popcount(index(p)) = N popcount(p), so for even NK
+
+    tau = |sum_p (-1)^(N popcount(p)) a_p a_{~p}|**2.
+
+For odd NK (N odd, at least 3) the determinant above splits the
+patterns by their last bit into u and v.  Its diagonal pairings vanish,
+because complementing the first n-1 qubits turns the last round's
+remaining N-1 qubits to the opposite value of its last qubit, so
+tau = 4 |t_uv t_vu| with the same signed pattern pairing.  For N = 1
+the pattern vector is the register itself and goes to
+``n_tangle_spinflip``.
+
 For the K-round meter register the contraction collapses to
 
     tau_{N*K} = 4 * (u^T eps^{(K-1)N-fold} v)**2,
 
 where u and v are the meter amplitude blocks whose last N indices are
-all 0 and all 1 respectively; ``meter_tangle_simplified`` uses this.
+all 0 and all 1 respectively; ``meter_tangle_simplified`` evaluates
+this on the dense register, as a cross-check of the pattern evaluation.
 The headline identity says the meter's tangle equals the squared
 measurement strength, tau = s_K(theta)**2; ``verify_strength_tangle``
 tabulates both sides.  The identity holds for K = 1 (any N) and for
@@ -56,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .meter import MeterSpec, kfold_meter
+from .meter import MeterSpec, kfold_meter, pattern_amplitudes
 from .statevec import Ket
 
 # The literal contraction touches 16**n terms; 8 qubits is its budget.
@@ -163,6 +180,33 @@ def n_tangle_spinflip(state: Ket) -> float:
     return float(4.0 * abs(t00 * t11 - t01 * t10))
 
 
+def _pattern_pair(x: np.ndarray, y: np.ndarray, n_sites: int) -> complex:
+    """sum_p (-1)**(N popcount(p)) x_p y_{~p} over block-pattern vectors."""
+    if n_sites % 2:
+        return _epsilon_pair(x, y)
+    return complex(np.sum(x * y[::-1]))
+
+
+def n_tangle_patterns(pattern_amps: np.ndarray, n_sites: int) -> float:
+    """Tangle of a register supported on block patterns, at O(2**K) cost.
+
+    ``pattern_amps`` holds one amplitude per block pattern of K rounds
+    of ``n_sites`` qubits each, round 1 on the high bit, as
+    ``meter.pattern_amplitudes`` returns them.  No index of the N*K-qubit
+    register is ever formed.
+    """
+    if n_sites < 1:
+        raise DomainError(f"sites per round must be at least 1, got {n_sites}")
+    a = np.asarray(pattern_amps)
+    if n_sites == 1:
+        return n_tangle_spinflip(Ket(a))
+    rounds = a.size.bit_length() - 1
+    if n_sites * rounds % 2 == 0:
+        return float(abs(_pattern_pair(a, a, n_sites)) ** 2)
+    u, v = a[0::2], a[1::2]
+    return float(4.0 * abs(_pattern_pair(u, v, n_sites) * _pattern_pair(v, u, n_sites)))
+
+
 def meter_tangle_simplified(spec: MeterSpec) -> float:
     """Meter-register tangle via the reduced two-block pairing.
 
@@ -187,13 +231,13 @@ def verify_strength_tangle(specs: list[MeterSpec]) -> list[TangleReport]:
     """Tabulate meter tangle against squared strength for each spec."""
     reports = []
     for spec in specs:
-        tau = n_tangle_spinflip(kfold_meter(spec))
+        tau = n_tangle_patterns(pattern_amplitudes(spec), spec.n_sites)
         s2 = spec.strength**2
         reports.append(
             TangleReport(
                 n=spec.n_qubits,
                 tau=tau,
-                method="spinflip",
+                method="patterns",
                 strength_squared=s2,
                 residual=abs(tau - s2),
                 monotone=tangle_is_monotone(spec.n_qubits),

@@ -82,28 +82,41 @@ class MeterSpec:
         return f"K={self.rounds},N={self.n_sites},theta={self.theta:.12g}"
 
 
-def kfold_meter(spec: MeterSpec) -> Ket:
-    """Entangled K-round meter register on N*K qubits.
+def pattern_amplitudes(spec: MeterSpec) -> np.ndarray:
+    """The meter's 2**K nonzero amplitudes, one per block pattern.
 
-    Support is limited to the 2**K block patterns where each round's N
-    qubits agree; the all-zeros pattern carries the alpha amplitude and
-    the rest share beta.
+    Entry p belongs to the pattern whose bit (K-1-k) says whether round
+    k+1's N qubits are all 1, so round 1 sits on the high bit.  Pattern
+    0 (all zeros) carries the alpha amplitude and the rest share beta.
     """
-    k, n, theta = spec.rounds, spec.n_sites, spec.theta
+    k, theta = spec.rounds, spec.theta
+    check_size(k, "the meter's block patterns")
     d = 1 << k
     alpha = math.cos(theta) + math.sqrt(d - 1) * math.sin(theta)
     beta = math.cos(theta) - math.sin(theta) / math.sqrt(d - 1)
     scale = 2.0 ** (-k / 2.0)
+    amps = np.full(d, scale * beta)
+    amps[0] = scale * alpha
+    return amps
+
+
+def kfold_meter(spec: MeterSpec) -> Ket:
+    """Entangled K-round meter register on N*K qubits.
+
+    The ``pattern_amplitudes`` are scattered to their block patterns,
+    where each round's N qubits agree; every other amplitude is zero.
+    """
+    k, n = spec.rounds, spec.n_sites
     check_size(n * k, "the meter register")
+    pattern_amps = pattern_amplitudes(spec)
     amps = np.zeros(1 << (n * k), dtype=np.complex128)
+    patterns = np.arange(pattern_amps.size, dtype=np.int64)
+    index = np.zeros(pattern_amps.size, dtype=np.int64)
     block = (1 << n) - 1
-    for pattern in range(d):
-        index = 0
-        for round_k in range(k):
-            # Bit (k-1-round_k) of the pattern drives round round_k's block.
-            if (pattern >> (k - 1 - round_k)) & 1:
-                index |= block << ((k - 1 - round_k) * n)
-        amps[index] = scale * (alpha if pattern == 0 else beta)
+    for bit in range(k):
+        # Pattern bit ``bit`` drives the block of round k - bit.
+        index |= ((patterns >> bit) & 1) * (block << (bit * n))
+    amps[index] = pattern_amps
     return Ket(amps)
 
 
@@ -113,18 +126,3 @@ def strength(rounds: int, theta: float) -> float:
         raise DomainError(f"rounds must be at least 1, got {rounds}")
     d = 1 << rounds
     return (d * math.cos(theta) ** 2 - 1.0) / (d - 1.0)
-
-
-def theta_for_strength(rounds: int, target: float) -> float:
-    """Angle in [0, arccos(2**(-K/2))] realizing strength ``target``.
-
-    Only the interpolation range [0, 1] is invertible here; negative
-    targets are rejected.
-    """
-    if rounds < 1:
-        raise DomainError(f"rounds must be at least 1, got {rounds}")
-    if not 0.0 <= target <= 1.0:
-        raise DomainError(f"strength must lie in [0, 1], got {target!r}")
-    d = 1 << rounds
-    cos_sq = (target * (d - 1.0) + 1.0) / d
-    return math.acos(math.sqrt(min(cos_sq, 1.0)))

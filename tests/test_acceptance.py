@@ -21,12 +21,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from strength_inverse import theta_for_strength
+
 from vsmsim.entanglement import (
     n_tangle_contraction,
     n_tangle_spinflip,
     verify_strength_tangle,
 )
-from vsmsim.meter import MeterSpec, strength, theta_for_strength
+from vsmsim.meter import MeterSpec, strength
 from vsmsim.pauli import ObservableSet, joint_pvm
 from vsmsim.protocol import (
     MeasurementModel,

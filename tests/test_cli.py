@@ -287,6 +287,32 @@ class TestSweep:
         assert code == 1
         assert "error" in err
 
+    def test_grid_points_over_cap(self, capsys, monkeypatch):
+        # 2^40 points: refused before np.linspace allocates anything.
+        monkeypatch.delenv("VSM_MAX_QUBITS", raising=False)
+        code, _, err = run(
+            capsys, "sweep", "--K", "1", "--N", "2", "--grid", "0:1:1099511627776"
+        )
+        assert code == 1
+        assert "the theta grid needs 2^40 entries, above the limit of 24 qubits" in err
+
+    def test_register_beyond_dense_reach(self, capsys, monkeypatch):
+        # 80 meter qubits: only the 4 block-pattern amplitudes are built.
+        monkeypatch.delenv("VSM_MAX_QUBITS", raising=False)
+        code, out, _ = run(
+            capsys, "sweep", "--K", "2", "--N", "40", "--theta", "0.3",
+            "--format", "json",
+        )
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        assert row["residual"] < 1e-12
+
+    def test_patterns_over_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("VSM_MAX_QUBITS", raising=False)
+        code, _, err = run(capsys, "sweep", "--K", "25", "--N", "1", "--theta", "0.3")
+        assert code == 1
+        assert "block patterns needs 2^25 entries, above the limit of 24 qubits" in err
+
 
 class TestBellDemo:
     def test_strong_limit_exact(self, capsys):
@@ -322,10 +348,20 @@ class TestTangle:
         code, out, _ = run(capsys, "tangle", "--K", "1", "--N", "2", "--theta", "0.3")
         assert code == 0
         artifact = json.loads(out)
+        assert artifact["report"]["method"] == "patterns"
         assert artifact["report"]["residual"] < 1e-9
         assert artifact["simplified"] == pytest.approx(
             artifact["report"]["tau"], abs=1e-10
         )
+
+    def test_meter_mode_over_qubit_cap(self, capsys, monkeypatch):
+        # The simplified cross-check still needs the dense 80-qubit meter.
+        monkeypatch.delenv("VSM_MAX_QUBITS", raising=False)
+        code, _, err = run(
+            capsys, "tangle", "--K", "2", "--N", "40", "--theta", "0.3"
+        )
+        assert code == 1
+        assert "the meter register needs 2^80 entries" in err
 
     def test_meter_mode_identity_violated(self, capsys):
         code, out, _ = run(
@@ -347,6 +383,7 @@ class TestTangle:
         code, out, _ = run(capsys, "tangle", "--state", GHZ2_JSON)
         assert code == 0
         report = json.loads(out)["report"]
+        assert report["method"] == "spinflip"
         assert report["tau"] == pytest.approx(1.0, abs=1e-12)
         assert report["strength_squared"] is None
 

@@ -3,26 +3,32 @@
 The einsum contraction is checked against a literal pure-Python loop
 over all four multi-indices, plus closed-form values for GHZ, W, Bell
 and product states.  The identity checks pin down both where it holds
-and the exact value the meter takes where it does not.
+and the exact value the meter takes where it does not.  The pattern
+evaluator that meter reports use is checked against the dense
+spin-flip and contraction evaluators on the scattered register, on a
+fixed grid and on hypothesis-drawn (K, N, theta).
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmsim.entanglement import (
     CONTRACTION_MAX_QUBITS,
     TangleReport,
     meter_tangle_simplified,
     n_tangle_contraction,
+    n_tangle_patterns,
     n_tangle_spinflip,
     state_tangle_report,
     tangle_is_monotone,
     verify_strength_tangle,
 )
 from vsmsim.errors import DomainError, ResourceLimitError
-from vsmsim.meter import MeterSpec, kfold_meter
+from vsmsim.meter import MeterSpec, kfold_meter, pattern_amplitudes
 from vsmsim.statevec import Ket, tensor
 
 EPS = ((0, 1), (-1, 0))
@@ -182,6 +188,63 @@ class TestSpinflip:
             n_tangle_spinflip(scalar)
 
 
+PATTERN_THETAS = (0.0, math.pi / 8, math.pi / 6, 0.9, math.pi / 2)
+
+
+def pattern_tangle(spec):
+    return n_tangle_patterns(pattern_amplitudes(spec), spec.n_sites)
+
+
+class TestPatterns:
+    def test_matches_dense_spinflip(self):
+        # Covers N = 1, even and odd N*K, and registers up to 20 qubits.
+        for rounds in range(1, 6):
+            for n_sites in range(1, 8):
+                if rounds * n_sites > 20:
+                    continue
+                for theta in PATTERN_THETAS:
+                    spec = MeterSpec(rounds=rounds, n_sites=n_sites, theta=theta)
+                    dense = n_tangle_spinflip(kfold_meter(spec))
+                    assert pattern_tangle(spec) == pytest.approx(dense, abs=1e-13), spec
+
+    def test_matches_contraction(self):
+        for rounds in range(1, 9):
+            for n_sites in range(1, 9 // rounds + 1):
+                if rounds * n_sites > CONTRACTION_MAX_QUBITS:
+                    continue
+                for theta in PATTERN_THETAS:
+                    spec = MeterSpec(rounds=rounds, n_sites=n_sites, theta=theta)
+                    reference = n_tangle_contraction(kfold_meter(spec))
+                    assert pattern_tangle(spec) == pytest.approx(reference, abs=1e-12), spec
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        rounds=st.integers(1, 6),
+        n_sites=st.integers(1, 40),
+        theta=st.floats(0.0, math.pi / 2),
+    )
+    def test_random_specs(self, rounds, n_sites, theta):
+        spec = MeterSpec(rounds=rounds, n_sites=n_sites, theta=theta)
+        tau = pattern_tangle(spec)
+        if spec.n_qubits <= 14:
+            dense = n_tangle_spinflip(kfold_meter(spec))
+            assert tau == pytest.approx(dense, abs=1e-13)
+        if spec.n_qubits == 1:
+            expected = 0.0
+        elif rounds == 1 or n_sites % 2 == 0:
+            expected = spec.strength**2
+        else:
+            # README closed form for odd N with K >= 2.
+            d = (1 << rounds) - 1
+            beta = math.cos(theta) - math.sin(theta) / math.sqrt(d)
+            expected = 4.0 * math.sin(theta) ** 2 * beta**2 / d
+        assert tau == pytest.approx(expected, abs=1e-12)
+
+    def test_sites_must_be_positive(self):
+        with pytest.raises(DomainError):
+            n_tangle_patterns(np.array([1.0, 0.0]), 0)
+
+
 class TestMeterSimplified:
     def test_matches_contraction(self):
         combos = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
@@ -239,8 +302,8 @@ class TestStrengthTangleIdentity:
             MeterSpec(rounds=3, n_sites=3, theta=0.5),
         ]
         small, large = verify_strength_tangle(specs)
-        assert small.n == 4 and small.method == "spinflip" and small.monotone
-        assert large.n == 9 and large.method == "spinflip" and not large.monotone
+        assert small.n == 4 and small.method == "patterns" and small.monotone
+        assert large.n == 9 and large.method == "patterns" and not large.monotone
 
 
 class TestReports:

@@ -31,7 +31,7 @@ GOLDENS = [
     ("bell-demo --theta 30deg --samples 100000 --seed 42",
      "37f19332b88e095dc7c59b7c068b93f84abffddfa5be5954bc1caced573173ef"),
     ("tangle --K 2 --N 2 --theta 0.3",
-     "1e7f598273a3090cc490a506d293945db4909b169ac105f1f3dd27aa87daf338"),
+     "5746319266317dc108c8487053942f30df189e3bca8d95a26e65ecc2b8e59368"),
     ("qudit --d 4 --theta 0.5236",
      "8f3f9cd4a93f56ae35de55158049673752a5418c21ee4eafe1be7d7d9dfa4f0d"),
     ("povm --obs XXXXXXXX,ZZZZZZZZ --theta 0.4",

@@ -11,8 +11,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from vsmsim.errors import DomainError
-from vsmsim.meter import MeterSpec, kfold_meter, parse_angle, strength, theta_for_strength
+from strength_inverse import theta_for_strength
+
+from vsmsim.errors import DomainError, ResourceLimitError
+from vsmsim.meter import MeterSpec, kfold_meter, parse_angle, pattern_amplitudes, strength
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -133,6 +135,36 @@ class TestKfoldMeter:
                 for theta in np.linspace(0, math.pi / 2, 50):
                     spec = MeterSpec(rounds=k, n_sites=n, theta=float(theta))
                     assert abs(kfold_meter(spec).norm - 1.0) < 1e-12
+
+
+class TestPatternAmplitudes:
+    def test_single_site_rounds_are_the_register(self):
+        # With N = 1 each pattern is a basis index of the K-qubit meter.
+        for k in (1, 2, 3, 4):
+            for theta in (0.0, 0.4, 1.2):
+                spec = MeterSpec(rounds=k, n_sites=1, theta=theta)
+                np.testing.assert_allclose(
+                    pattern_amplitudes(spec), kfold_oracle(k, 1, theta), atol=1e-13
+                )
+
+    def test_scattered_to_block_patterns(self):
+        spec = MeterSpec(rounds=3, n_sites=2, theta=0.7)
+        amps = kfold_meter(spec).amplitudes
+        patterns = pattern_amplitudes(spec)
+        for p in range(8):
+            index = sum(0b11 << (2 * bit) for bit in range(3) if (p >> bit) & 1)
+            assert amps[index] == patterns[p]
+
+    def test_independent_of_sites(self):
+        for n in (1, 3, 40):
+            spec = MeterSpec(rounds=2, n_sites=n, theta=0.3)
+            assert pattern_amplitudes(spec).shape == (4,)
+            assert np.sum(pattern_amplitudes(spec) ** 2) == pytest.approx(1.0)
+
+    def test_pattern_count_capped(self, monkeypatch):
+        monkeypatch.setenv("VSM_MAX_QUBITS", "4")
+        with pytest.raises(ResourceLimitError, match="2\\^5 entries"):
+            pattern_amplitudes(MeterSpec(rounds=5, n_sites=1, theta=0.2))
 
 
 class TestStrength:

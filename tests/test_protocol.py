@@ -15,6 +15,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from strength_inverse import theta_for_strength
+
 from vsmsim.errors import (
     CommutationError,
     ConsistencyError,
@@ -24,7 +26,6 @@ from vsmsim.errors import (
     ResourceLimitError,
 )
 from vsmsim import protocol
-from vsmsim.meter import theta_for_strength
 from vsmsim.pauli import ObservableSet, joint_pvm, sign_vectors
 from vsmsim.protocol import (
     MeasurementModel,
