@@ -54,6 +54,7 @@ from .protocol import (
     MeasurementModel,
     effects_to_json,
     kraus_closed_form,
+    matrix_to_json,
     outcome_distribution,
     qudit_vsm,
     sample,
@@ -149,11 +150,6 @@ def _indented_json(value, indent: str) -> str:
     return json.dumps(value)
 
 
-def _require_json_format(args) -> None:
-    if getattr(args, "format", "json") != "json":
-        raise _UsageError(f"subcommand {args.command!r} only supports --format json")
-
-
 def _load_state(text: str, n_expected: int | None = None) -> Ket:
     """Read a ket from inline JSON or from a file path.
 
@@ -214,7 +210,6 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_meter(args) -> int:
-    _require_json_format(args)
     spec = MeterSpec(rounds=args.K, n_sites=args.N, theta=args.theta)
     state = kfold_meter(spec)
     artifact = {
@@ -236,11 +231,10 @@ def _cmd_meter(args) -> int:
 
 
 def _cmd_povm(args) -> int:
-    _require_json_format(args)
     model = _model_from_args(args)
-    # Held here, so kraus_closed_form reuses these projectors.
+    # One projector stack serves the Kraus set and the barycentric coordinates.
     pvm = model.pvm()
-    kraus = kraus_closed_form(model)
+    kraus = kraus_closed_form(model, pvm)
     effects = kraus.povm().effects
     artifact = {
         "meta": _meta(),
@@ -292,7 +286,6 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _require_json_format(args)
     model = _model_from_args(args)
     state = _load_state(args.state, model.n_sites)
     if args.samples == 1:
@@ -367,7 +360,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bell_demo(args) -> int:
-    _require_json_format(args)
     model = MeasurementModel(
         observables=ObservableSet.from_string("XX,ZZ"), theta=args.theta
     )
@@ -426,7 +418,6 @@ def _cmd_bell_demo(args) -> int:
 
 
 def _cmd_tangle(args) -> int:
-    _require_json_format(args)
     if args.state is not None:
         state = _load_state(args.state)
         report = state_tangle_report(state)
@@ -464,7 +455,6 @@ def _cmd_tangle(args) -> int:
 
 
 def _cmd_qudit(args) -> int:
-    _require_json_format(args)
     result = qudit_vsm(args.d, args.theta)
     artifact = {
         "meta": _meta(),
@@ -472,12 +462,8 @@ def _cmd_qudit(args) -> int:
         "d": result.d,
         "theta": result.theta,
         "strength": result.strength,
-        "effects": [
-            {"re": e.real.tolist(), "im": e.imag.tolist()} for e in result.effects
-        ],
-        "kraus": [
-            {"re": k.real.tolist(), "im": k.imag.tolist()} for k in result.kraus
-        ],
+        "effects": [matrix_to_json(e) for e in result.effects],
+        "kraus": [matrix_to_json(k) for k in result.kraus],
     }
     summary = f"qudit d={result.d} theta={_fmt(result.theta)} strength={_fmt(result.strength)}"
     _emit(args, _json_payload(artifact), summary)
@@ -489,17 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vsmsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("json",)):
+    def add_out(p):
         p.add_argument("--out", help="output file path (default: artifact to stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=formats[0],
-                       help=f"artifact format (default {formats[0]})")
+
+    def add_format(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="artifact format (default csv)")
 
     p = sub.add_parser("meter", help="emit the entangled meter state")
     p.add_argument("--K", type=int, required=True, help="number of rounds")
     p.add_argument("--N", type=int, required=True, help="sites per round")
     p.add_argument("--theta", type=parse_angle, required=True,
                    help="mixing angle (radians, or e.g. 30deg)")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_meter)
 
     p = sub.add_parser("povm", help="emit POVM effects of a measurement model")
@@ -509,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kraus", action="store_true", help="include Kraus operators")
     p.add_argument("--barycentric", action="store_true",
                    help="include projector-basis coordinates of each effect")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_povm)
 
     p = sub.add_parser("distribution", help="outcome probabilities for an input state")
@@ -517,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_angle, required=True)
     p.add_argument("--order")
     p.add_argument("--state", required=True, help="ket JSON (inline or file path)")
-    add_common(p, formats=("csv", "json"))
+    add_out(p)
+    add_format(p)
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("sample", help="sample measurement shots")
@@ -527,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("sweep", help="strength-tangle identity over a theta grid")
@@ -535,14 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--grid", help="theta grid start:end:points (angles may use deg)")
     p.add_argument("--theta", type=parse_angle, help="single-point sweep")
-    add_common(p, formats=("csv", "json"))
+    add_out(p)
+    add_format(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bell-demo", help="Bell states measured jointly with XX,ZZ")
     p.add_argument("--theta", type=parse_angle, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_bell_demo)
 
     p = sub.add_parser("tangle", help="n-tangle report")
@@ -550,13 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--theta", type=parse_angle)
     p.add_argument("--state", help="ket JSON (inline or file path)")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_tangle)
 
     p = sub.add_parser("qudit", help="mod-d shift VSM reference model")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--theta", type=parse_angle, required=True)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_qudit)
 
     return parser

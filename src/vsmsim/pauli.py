@@ -31,7 +31,9 @@ The set is independent (no member is, up to sign, a product of the
 others) exactly when only the empty subset gives +-I, which is the same
 as every projector having rank 2**(N-K) (Gottesman,
 arXiv:quant-ph/9705052).  ``build_pvm`` builds each dense P_s once, by
-scattering the signed permutations O_T of a validated set.
+scattering the signed permutations O_T of a set that ``accept_set``
+accepted; its caller holds the projectors and passes them on (see
+``protocol.kraus_closed_form``).
 
 Sign vectors are plain ``tuple[int, ...]`` with entries +1 or -1, listed
 in the observable order of the set.
@@ -224,19 +226,19 @@ class Pvm:
 class SetValidation:
     """Diagnostics for a candidate observable set.
 
-    ``commutation[i][j]`` says whether observables i and j commute
-    (0-based).  ``ranks`` holds the joint-projector ranks when all pairs
-    commute, ``None`` otherwise.  ``expected_rank`` is 2**(N-K) when K
-    does not exceed N.  ``ok`` means accepted for joint measurement.
-    ``products`` holds the subset products O_T as ``(x, z, e)`` terms,
-    indexed like ``sign_vectors`` (member 1 on the most significant bit
-    of T), when all pairs commute, ``None`` otherwise.
+    ``noncommuting_pairs`` lists the 1-based index pairs of observables
+    that do not commute.  ``ranks`` holds the joint-projector ranks when
+    all pairs commute, ``None`` otherwise.  ``expected_rank`` is
+    2**(N-K) when K does not exceed N.  ``ok`` means accepted for joint
+    measurement.  ``products`` holds the subset products O_T as
+    ``(x, z, e)`` terms, indexed like ``sign_vectors`` (member 1 on the
+    most significant bit of T), when all pairs commute, ``None``
+    otherwise.
     """
 
     ok: bool
     n_sites: int
     size: int
-    commutation: tuple[tuple[bool, ...], ...]
     noncommuting_pairs: tuple[tuple[int, int], ...]
     expected_rank: int | None
     ranks: dict[SignVector, int] | None
@@ -287,14 +289,12 @@ def validate_set(obs_set: ObservableSet) -> SetValidation:
     n = obs_set.n_sites
     failures: list[str] = []
 
-    table = [[True] * k for _ in range(k)]
-    bad_pairs: list[tuple[int, int]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            good = commutes(obs_set.observables[i], obs_set.observables[j])
-            table[i][j] = table[j][i] = good
-            if not good:
-                bad_pairs.append((i + 1, j + 1))
+    bad_pairs = [
+        (i + 1, j + 1)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if not commutes(obs_set.observables[i], obs_set.observables[j])
+    ]
     if bad_pairs:
         failures.append(
             "non-commuting pairs (1-based): " + ", ".join(str(p) for p in bad_pairs)
@@ -326,7 +326,6 @@ def validate_set(obs_set: ObservableSet) -> SetValidation:
         ok=not failures,
         n_sites=n,
         size=k,
-        commutation=tuple(tuple(row) for row in table),
         noncommuting_pairs=tuple(bad_pairs),
         expected_rank=expected_rank,
         ranks=ranks,
@@ -373,12 +372,3 @@ def build_pvm(report: SetValidation) -> Pvm:
         stack[:, cols ^ term[0], cols] += np.outer(chi, _column_values(term, n))
     stack.setflags(write=False)
     return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=report.expected_rank)
-
-
-def joint_pvm(obs_set: ObservableSet) -> Pvm:
-    """Joint eigenprojectors of a commuting independent set.
-
-    Raises ``CommutationError`` on a non-commuting pair and
-    ``DependenceError`` when the ranks betray a dependent set.
-    """
-    return build_pvm(accept_set(obs_set))

@@ -16,7 +16,8 @@ the full circuit; ``kraus_closed_form`` builds
 
     M_s = 2**(-K(N-1)/2) [cos(theta) P_s + sin(theta)/sqrt(2**K-1) (I - P_s)]
 
-from the joint eigenprojectors P_s, and the POVM effects are
+from the joint eigenprojectors P_s that its caller passes in (built by
+``MeasurementModel.pvm``), and the POVM effects are
 
     E_s = 2**(K(N-1)) M_s^dag M_s
         = cos(theta)**2 P_s + sin(theta)**2/(2**K-1) (I - P_s).
@@ -28,7 +29,6 @@ the multi-qubit scheme generalizes.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +69,13 @@ class MeasurementModel:
     extracted Kraus operators and POVM do not depend on it because the
     observables commute; it is kept explicit so the circuit is fully
     specified.  ``validation`` is the report of the one validation of
-    the observable set, made on construction.  ``pvm()`` hands out the
-    same projectors again while a caller still holds them.
+    the observable set, made on construction.
     """
 
     observables: ObservableSet
     theta: float
     coupling_order: tuple[int, ...] = ()
     validation: SetValidation = field(init=False, repr=False, compare=False)
-    _pvm_ref: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "validation", accept_set(self.observables))
@@ -116,21 +114,9 @@ class MeasurementModel:
         """Records per sign vector, 2**(K*(N-1))."""
         return 1 << (self.size * (self.n_sites - 1))
 
-    def __getstate__(self):
-        # A weak reference cannot be pickled; a copy builds its own projectors.
-        return {**self.__dict__, "_pvm_ref": None}
-
     def pvm(self) -> Pvm:
-        """The joint eigenprojectors, rebuilt only once no caller holds them.
-
-        The model keeps a weak reference, so the dense 2**K * 4**N stack
-        does not live as long as the model does.
-        """
-        pvm = self._pvm_ref() if self._pvm_ref is not None else None
-        if pvm is None:
-            pvm = build_pvm(self.validation)
-            object.__setattr__(self, "_pvm_ref", weakref.ref(pvm))
-        return pvm
+        """The joint eigenprojectors, a new dense 2**K * 4**N stack per call."""
+        return build_pvm(self.validation)
 
     def to_json(self) -> dict:
         return {
@@ -170,9 +156,6 @@ class Povm:
     def completeness_residual(self) -> float:
         total = sum(self.effects.values())
         return float(np.max(np.abs(total - np.eye(total.shape[0]))))
-
-    def min_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh(e).min() for e in self.effects.values()))
 
 
 @dataclass(frozen=True)
@@ -239,7 +222,7 @@ def _branches(model: MeasurementModel, system: Ket) -> np.ndarray:
     return _walsh_hadamard(block) / math.sqrt(2.0) ** m
 
 
-def kraus_bruteforce(model: MeasurementModel, *, atol: float = RECORD_AGREEMENT_ATOL) -> KrausSet:
+def kraus_bruteforce(model: MeasurementModel) -> KrausSet:
     """Extract the Kraus operators by simulating the full circuit.
 
     Runs the coupling on every computational basis state, projects each
@@ -267,7 +250,7 @@ def kraus_bruteforce(model: MeasurementModel, *, atol: float = RECORD_AGREEMENT_
         members = np.flatnonzero(index == s)
         rep = stacked[members[0]]
         deviation = float(np.max(np.abs(stacked[members] - rep)))
-        if deviation > atol:
+        if deviation > RECORD_AGREEMENT_ATOL:
             raise ConsistencyError(
                 f"records with signs {sign_string(signs)} disagree by {deviation:.3e}"
             )
@@ -275,11 +258,17 @@ def kraus_bruteforce(model: MeasurementModel, *, atol: float = RECORD_AGREEMENT_
     return KrausSet(operators=operators, multiplicity=expected)
 
 
-def kraus_closed_form(model: MeasurementModel) -> KrausSet:
-    """Kraus operators from the joint eigenprojectors, no circuit involved."""
+def kraus_closed_form(model: MeasurementModel, pvm: Pvm) -> KrausSet:
+    """Kraus operators of ``model`` from its joint eigenprojectors ``pvm``, no circuit involved."""
     n, k = model.n_sites, model.size
-    pvm = model.pvm()
-    eye = np.eye(1 << n, dtype=np.complex128)
+    dim = 1 << n
+    if len(pvm.projectors) != 1 << k or any(
+        proj.shape != (dim, dim) for proj in pvm.projectors.values()
+    ):
+        raise DimensionError(
+            f"{len(pvm.projectors)} projectors do not fit a model of K={k} on N={n} sites"
+        )
+    eye = np.eye(dim, dtype=np.complex128)
     scale = 2.0 ** (-k * (n - 1) / 2.0)
     in_coef = math.cos(model.theta)
     out_coef = math.sin(model.theta) / math.sqrt(2.0**k - 1.0)
@@ -291,8 +280,12 @@ def kraus_closed_form(model: MeasurementModel) -> KrausSet:
 
 
 def povm(model: MeasurementModel) -> Povm:
-    """POVM effects, multiplicity-weighted squares of the Kraus operators."""
-    return kraus_closed_form(model).povm()
+    """POVM effects, multiplicity-weighted squares of the Kraus operators.
+
+    The projectors are passed inline, so their stack is freed before the
+    effects are multiplied out.
+    """
+    return kraus_closed_form(model, model.pvm()).povm()
 
 
 def outcome_distribution(model: MeasurementModel, system: Ket) -> dict[SignVector, float]:
@@ -369,6 +362,8 @@ def qudit_vsm(d: int, theta: float) -> QuditVsm:
         raise DomainError(f"qudit dimension must be at least 2, got {d}")
     if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta must lie in [0, pi/2], got {theta!r}")
+    # d Kraus operators and d effects of d**2 entries each.
+    check_size((2 * d**3 - 1).bit_length(), "the qudit operator stack")
     phi = _qudit_meter(d, theta)
     kraus = []
     effects = []

@@ -121,16 +121,6 @@ class Ket:
         amps[index] = 1.0
         return cls(amps, require_normalized=False)
 
-    def normalize(self) -> "Ket":
-        """Unit-norm copy of this ket."""
-        return Ket.normalized(self._amps)
-
-    def isclose(self, other: "Ket", atol: float = 1e-10) -> bool:
-        """Amplitude-wise agreement (no global-phase allowance)."""
-        if self.n != other.n:
-            return False
-        return bool(np.allclose(self._amps, other._amps, rtol=0.0, atol=atol))
-
     def to_json(self) -> dict:
         """JSON-ready mapping ``{"n": ..., "re": [...], "im": [...]}``."""
         return {

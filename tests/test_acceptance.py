@@ -21,6 +21,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from projectors import pvm_of
 from strength_inverse import theta_for_strength
 
 from vsmsim.entanglement import (
@@ -29,7 +30,7 @@ from vsmsim.entanglement import (
     verify_strength_tangle,
 )
 from vsmsim.meter import MeterSpec, strength
-from vsmsim.pauli import ObservableSet, joint_pvm
+from vsmsim.pauli import ObservableSet
 from vsmsim.protocol import (
     MeasurementModel,
     kraus_bruteforce,
@@ -93,11 +94,11 @@ def hermitian_sqrt(mat):
 def test_criterion_1_closed_form_matches_bruteforce(capsys):
     with reported(capsys, 1, "closed-form Kraus and POVM effects match brute force"):
         for (n_sites, rounds), obs in COMBOS.items():
-            pvm = joint_pvm(ObservableSet.from_string(obs))
+            pvm = pvm_of(ObservableSet.from_string(obs))
             eye = np.eye(1 << n_sites)
             for model in models_on_grid(obs):
                 brute = kraus_bruteforce(model)
-                closed = kraus_closed_form(model)
+                closed = kraus_closed_form(model, pvm)
                 assert closed.multiplicity == brute.multiplicity
                 for signs, mat in closed.operators.items():
                     gap = np.max(np.abs(mat - brute.operators[signs]))
@@ -119,8 +120,8 @@ def test_criterion_2_completeness_positivity_minimal_disturbance(capsys):
             for model in models_on_grid(obs):
                 effects = povm(model)
                 assert effects.completeness_residual() < 1e-10
-                assert effects.min_eigenvalue() >= -1e-10
-                kraus = kraus_closed_form(model)
+                assert min(np.linalg.eigvalsh(e).min() for e in effects.effects.values()) >= -1e-10
+                kraus = kraus_closed_form(model, model.pvm())
                 scale = math.sqrt(model.multiplicity)
                 for signs, effect in effects.effects.items():
                     gap = np.max(
@@ -134,7 +135,7 @@ def test_criterion_3_strength_formulas(capsys):
         for theta in GRID_25:
             assert abs(strength(1, float(theta)) - math.cos(2 * theta)) < 1e-15
         for (n_sites, rounds), obs in COMBOS.items():
-            pvm = joint_pvm(ObservableSet.from_string(obs))
+            pvm = pvm_of(ObservableSet.from_string(obs))
             d = 2**rounds
             for model in models_on_grid(obs):
                 eye = np.eye(1 << n_sites)

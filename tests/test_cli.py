@@ -12,10 +12,12 @@ import random
 import numpy as np
 import pytest
 
+from projectors import pvm_of
+
 from vsmsim import cli, protocol
 from vsmsim.cli import _json_payload, main
 from vsmsim.meter import strength
-from vsmsim.pauli import ObservableSet, joint_pvm
+from vsmsim.pauli import ObservableSet
 from vsmsim.protocol import MeasurementModel, outcome_distribution
 from vsmsim.statevec import Ket
 
@@ -73,6 +75,13 @@ class TestMeter:
         assert code == 1
         assert "error" in err
 
+    def test_format_not_offered(self, capsys):
+        code, _, err = run(
+            capsys, "meter", "--K", "1", "--N", "2", "--theta", "0.5", "--format", "json"
+        )
+        assert code == 1
+        assert "unrecognized arguments: --format" in err
+
     def test_bad_theta(self, capsys):
         code, _, err = run(capsys, "meter", "--K", "1", "--N", "2", "--theta", "2.0")
         assert code == 1
@@ -91,7 +100,7 @@ class TestPovm:
         code, out, _ = run(capsys, "povm", "--obs", "XX,ZZ", "--theta", "0")
         assert code == 0
         artifact = json.loads(out)
-        pvm = joint_pvm(ObservableSet.from_string("XX,ZZ"))
+        pvm = pvm_of(ObservableSet.from_string("XX,ZZ"))
         for signs, proj in pvm.projectors.items():
             key = "".join("+" if s > 0 else "-" for s in signs)
             entry = artifact["effects"][key]
@@ -431,6 +440,13 @@ class TestQudit:
         code, _, err = run(capsys, "qudit", "--d", "1", "--theta", "0.2")
         assert code == 1
         assert "error" in err
+
+    def test_over_qubit_cap(self, capsys, monkeypatch):
+        # 8 Kraus operators and 8 effects of 64 entries each: 2^10 entries.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+        code, _, err = run(capsys, "qudit", "--d", "8", "--theta", "0.2")
+        assert code == 1
+        assert "above the limit of 3" in err
 
 
 class TestTopLevel:

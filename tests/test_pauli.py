@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pauli_oracle as oracle
+from projectors import pvm_of
 
 from vsmsim.errors import CommutationError, DependenceError, DimensionError, ParseError
 from vsmsim.pauli import (
@@ -20,7 +21,6 @@ from vsmsim.pauli import (
     PauliLetter,
     ProductObservable,
     commutes,
-    joint_pvm,
     sign_vectors,
     validate_set,
 )
@@ -145,7 +145,7 @@ class TestValidateSet:
         assert report.ranks is not None
         assert tuple(report.ranks.values()) == (1, 1, 1, 1)
         # Cross-check each reported rank against the eigenvalue count.
-        pvm = joint_pvm(ObservableSet.from_string("XX,ZZ"))
+        pvm = pvm_of(ObservableSet.from_string("XX,ZZ"))
         for signs, proj in pvm.projectors.items():
             assert report.ranks[signs] == eig_rank(proj)
 
@@ -167,13 +167,14 @@ class TestValidateSet:
         assert not report.ok
 
     def test_commutation_matrix_shape(self):
-        report = validate_set(ObservableSet.from_string("XX,ZZ"))
-        assert report.commutation == ((True, True), (True, True))
+        assert validate_set(ObservableSet.from_string("XX,ZZ")).noncommuting_pairs == ()
+        report = validate_set(ObservableSet.from_string("XX,ZX,ZZ"))
+        assert report.noncommuting_pairs == ((1, 2), (2, 3))
 
 
 class TestJointPvm:
     def test_single_zz(self):
-        pvm = joint_pvm(ObservableSet.from_string("ZZ"))
+        pvm = pvm_of(ObservableSet.from_string("ZZ"))
         assert pvm.rank == 2
         plus = pvm.projectors[(1,)]
         np.testing.assert_allclose(np.diag(plus), [1, 0, 0, 1], atol=1e-14)
@@ -181,7 +182,7 @@ class TestJointPvm:
         np.testing.assert_allclose(np.diag(minus), [0, 1, 1, 0], atol=1e-14)
 
     def test_bell_projectors(self):
-        pvm = joint_pvm(ObservableSet.from_string("XX,ZZ"))
+        pvm = pvm_of(ObservableSet.from_string("XX,ZZ"))
         assert pvm.rank == 1
         phi_plus = np.zeros(4)
         phi_plus[[0, 3]] = 1 / np.sqrt(2)
@@ -196,15 +197,15 @@ class TestJointPvm:
 
     def test_noncommuting_raises(self):
         with pytest.raises(CommutationError):
-            joint_pvm(ObservableSet.from_string("XX,ZX"))
+            pvm_of(ObservableSet.from_string("XX,ZX"))
 
     def test_dependent_raises(self):
         with pytest.raises(DependenceError):
-            joint_pvm(ObservableSet.from_string("XX,ZZ,XX"))
+            pvm_of(ObservableSet.from_string("XX,ZZ,XX"))
 
     def test_oversized_set_raises(self):
         with pytest.raises(DependenceError):
-            joint_pvm(ObservableSet.from_string("X,X"))
+            pvm_of(ObservableSet.from_string("X,X"))
 
 
 def random_commuting_set(rng, n, k):
@@ -235,7 +236,7 @@ class TestPvmProperties:
             n = int(rng.integers(2, 5))
             k = int(rng.integers(1, min(n, 3) + 1))
             group = random_commuting_set(rng, n, k)
-            pvm = joint_pvm(group)
+            pvm = pvm_of(group)
             dim = 1 << n
             total = np.zeros((dim, dim), dtype=complex)
             projs = list(pvm.projectors.items())
@@ -253,7 +254,7 @@ class TestPvmProperties:
             n = int(rng.integers(2, 5))
             k = int(rng.integers(1, min(n, 3) + 1))
             group = random_commuting_set(rng, n, k)
-            pvm = joint_pvm(group)
+            pvm = pvm_of(group)
             for signs, proj in pvm.projectors.items():
                 for s, obs in zip(signs, group.observables):
                     mat = np.asarray(obs.matrix())
@@ -263,7 +264,7 @@ class TestPvmProperties:
         # prod_k (s_k O_k)^{l_k} equals the sign-weighted projector sum.
         rng = np.random.default_rng(29)
         group = random_commuting_set(rng, 3, 2)
-        pvm = joint_pvm(group)
+        pvm = pvm_of(group)
         dim = 1 << group.n_sites
         mats = [np.asarray(o.matrix()) for o in group.observables]
         for fixed in sign_vectors(group.size):
@@ -327,7 +328,7 @@ def random_oracle_case(rng):
 
 
 class TestMaskCoreAgainstOracle:
-    """validate_set and joint_pvm against the dense matmul-chain oracle."""
+    """validate_set and build_pvm against the dense matmul-chain oracle."""
 
     def check(self, words):
         group = ObservableSet.from_string(",".join(words))
@@ -338,7 +339,7 @@ class TestMaskCoreAgainstOracle:
         if pairs:
             assert report.ranks is None and not report.ok
             with pytest.raises(CommutationError):
-                joint_pvm(group)
+                pvm_of(group)
             return "noncommuting"
         expected = oracle.ranks(words)
         assert report.ranks == expected, words
@@ -346,9 +347,9 @@ class TestMaskCoreAgainstOracle:
         assert report.ok == accepted, words
         if not accepted:
             with pytest.raises(DependenceError):
-                joint_pvm(group)
+                pvm_of(group)
             return "dependent"
-        pvm = joint_pvm(group)
+        pvm = pvm_of(group)
         for signs, proj in oracle.raw_projectors(words).items():
             np.testing.assert_allclose(pvm.projectors[signs], proj, rtol=0, atol=1e-12)
         return "accepted"

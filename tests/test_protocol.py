@@ -7,7 +7,6 @@ simulation.  POVM square roots are cross-checked via eigendecomposition.
 """
 
 import math
-import pickle
 import weakref
 from collections import Counter
 from functools import reduce
@@ -15,6 +14,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from projectors import pvm_of
 from strength_inverse import theta_for_strength
 
 from vsmsim.errors import (
@@ -26,7 +26,7 @@ from vsmsim.errors import (
     ResourceLimitError,
 )
 from vsmsim import protocol
-from vsmsim.pauli import ObservableSet, joint_pvm, sign_vectors
+from vsmsim.pauli import ObservableSet, sign_vectors
 from vsmsim.protocol import (
     MeasurementModel,
     couple,
@@ -147,20 +147,6 @@ class TestModel:
         assert model("XX,ZZ", 0.1).multiplicity == 4
         assert model("XYZ", 0.1).multiplicity == 4
 
-    def test_pvm_shared_only_while_held(self):
-        m = model("XX,ZZ", 0.3)
-        held = m.pvm()
-        assert m.pvm() is held
-        gone = weakref.ref(held)
-        del held
-        assert gone() is None
-        held = m.pvm()
-        np.testing.assert_array_equal(
-            held.projectors[(1, 1)], joint_pvm(m.observables).projectors[(1, 1)]
-        )
-        copy = pickle.loads(pickle.dumps(m))
-        assert copy == m
-        assert copy.pvm() is not held
 
 
 class TestCouple:
@@ -207,7 +193,7 @@ class TestKrausBruteforce:
 
     def test_strong_limit_scaled_projectors(self):
         kraus = kraus_bruteforce(model("XX,ZZ", 0.0))
-        pvm = joint_pvm(ObservableSet.from_string("XX,ZZ"))
+        pvm = pvm_of(ObservableSet.from_string("XX,ZZ"))
         for signs, mat in kraus.operators.items():
             np.testing.assert_allclose(mat, pvm.projectors[signs] / 2, atol=1e-12)
 
@@ -250,7 +236,7 @@ class TestClosedFormAgreement:
             for theta in np.linspace(0, math.pi / 2, 7):
                 m = model(obs, float(theta))
                 brute = kraus_bruteforce(m)
-                closed = kraus_closed_form(m)
+                closed = kraus_closed_form(m, m.pvm())
                 assert brute.multiplicity == closed.multiplicity
                 for signs in brute.operators:
                     np.testing.assert_allclose(
@@ -258,6 +244,13 @@ class TestClosedFormAgreement:
                         brute.operators[signs],
                         atol=1e-12,
                     )
+
+    def test_rejects_projectors_of_another_model(self):
+        m = model("XX,ZZ", 0.4)
+        with pytest.raises(DimensionError):
+            kraus_closed_form(m, pvm_of(ObservableSet.from_string("ZZ")))
+        with pytest.raises(DimensionError):
+            kraus_closed_form(m, pvm_of(ObservableSet.from_string("XXXX,ZZZZ")))
 
     def test_coupling_order_irrelevant(self):
         base = kraus_bruteforce(model("XX,ZZ", 0.8))
@@ -274,12 +267,33 @@ class TestPovm:
             for theta in np.linspace(0, math.pi / 2, 9):
                 effects = povm(model(obs, float(theta)))
                 assert effects.completeness_residual() < 1e-12
-                assert effects.min_eigenvalue() > -1e-12
+                assert min(np.linalg.eigvalsh(e).min() for e in effects.effects.values()) > -1e-12
+
+    def test_frees_projectors_before_effects(self, monkeypatch):
+        # The 2**K * 4**N stack must not be alive during the effect matmuls.
+        built = []
+        real_build, real_effects = protocol.build_pvm, protocol.KrausSet.povm
+
+        def build(report):
+            pvm = real_build(report)
+            built.append((weakref.ref(pvm), weakref.ref(next(iter(pvm.projectors.values())).base)))
+            return pvm
+
+        alive = []
+
+        def effects(kraus):
+            alive.extend(ref() is not None for pair in built for ref in pair)
+            return real_effects(kraus)
+
+        monkeypatch.setattr(protocol, "build_pvm", build)
+        monkeypatch.setattr(protocol.KrausSet, "povm", effects)
+        assert povm(model("XX,ZZ", 0.3)).completeness_residual() < 1e-12
+        assert alive == [False, False]
 
     def test_single_round_effect_formula(self):
         theta = 0.7
         effects = povm(model("XX", theta)).effects
-        pvm = joint_pvm(ObservableSet.from_string("XX"))
+        pvm = pvm_of(ObservableSet.from_string("XX"))
         eye = np.eye(4)
         for signs, effect in effects.items():
             proj = pvm.projectors[signs]
@@ -303,7 +317,7 @@ class TestPovm:
         # eigendecomposition, equals 2^{K(N-1)/2} M_s: minimal disturbance.
         for obs in ("ZZ", "XX,ZZ", "XXZ,ZZZ"):
             m = model(obs, 0.9)
-            kraus = kraus_closed_form(m)
+            kraus = kraus_closed_form(m, m.pvm())
             scale = math.sqrt(m.multiplicity)
             for signs, effect in povm(m).effects.items():
                 vals, vecs = np.linalg.eigh(effect)
@@ -350,7 +364,9 @@ class TestSample:
         second = sample(m, psi, 1234)
         assert first.raw == second.raw
         assert first.signs == second.signs
-        assert first.post_state.isclose(second.post_state, atol=1e-15)
+        np.testing.assert_allclose(
+            first.post_state.amplitudes, second.post_state.amplitudes, rtol=0, atol=1e-15
+        )
 
     def test_raw_consistent_with_signs(self):
         rng = np.random.default_rng(83)
@@ -364,7 +380,7 @@ class TestSample:
         rng = np.random.default_rng(89)
         psi = random_ket(rng, 2)
         m = model("XX,ZZ", 0.7)
-        kraus = kraus_closed_form(m)
+        kraus = kraus_closed_form(m, m.pvm())
         for seed in range(6):
             record = sample(m, psi, seed)
             branch = kraus.operators[record.signs] @ psi.amplitudes
