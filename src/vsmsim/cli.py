@@ -232,9 +232,12 @@ def _cmd_meter(args) -> int:
 
 def _cmd_povm(args) -> int:
     model = _model_from_args(args)
-    # One projector stack serves the Kraus set and the barycentric coordinates.
+    # One projector stack serves the Kraus set and the barycentric coordinates;
+    # without the latter it is freed before the effects are multiplied out.
     pvm = model.pvm()
     kraus = kraus_closed_form(model, pvm)
+    if not args.barycentric:
+        pvm = None
     effects = kraus.povm().effects
     artifact = {
         "meta": _meta(),

@@ -50,10 +50,12 @@ all 0 and all 1 respectively; ``meter_tangle_simplified`` evaluates
 this on the dense register, as a cross-check of the pattern evaluation.
 The headline identity says the meter's tangle equals the squared
 measurement strength, tau = s_K(theta)**2; ``verify_strength_tangle``
-tabulates both sides.  The identity holds for K = 1 (any N) and for
-even N (any K).  For odd N with K >= 2 the epsilon product over a
-round's N sites is odd under block complementation, the sum loses its
-cross terms, and the tangle comes out strictly smaller:
+tabulates both sides.  The identity holds for K = 1 with N >= 2 and
+for even N (any K).  At N = K = 1 the meter is one qubit, whose tangle
+is 0 while s**2 = cos(2 theta)**2.  For odd N with K >= 2, N = 1
+included, the epsilon product over a round's N sites is odd under block
+complementation, the sum loses its cross terms, and the tangle comes
+out strictly smaller:
 
     tau = 4 sin(theta)**2 beta**2 / (2**K - 1),
     beta = cos(theta) - sin(theta)/sqrt(2**K - 1),

@@ -2,16 +2,20 @@
 
 A product observable is a tensor product of X, Y, Z letters with one
 letter per site; identity letters are deliberately excluded, so every
-observable touches all N sites.  Each observable carries an X mask and
-a Z mask, site 1 on the most significant bit, and a Y count.  With
+observable touches all N sites.  An observable is held as nothing but
+its X mask and Z mask, site 1 on the most significant bit: a site holds
+X when only its X bit is set, Z when only its Z bit is set and Y when
+both are, and the Y count is the number of sites with both bits.  With
 Y = iXZ at every site it equals
 
     O = i**y_count X**x_mask Z**z_mask,
 
 a signed permutation matrix: column b holds i**y_count
-(-1)**popcount(z_mask & b) in row b ^ x_mask.  Two products commute
-exactly when popcount(xa & zb) + popcount(za & xb) is even (Aaronson &
-Gottesman, PRA 70, 052328 (2004)).
+(-1)**popcount(z_mask & b) in row b ^ x_mask.  No observable keeps a
+dense matrix; ``build_pvm`` is the one place that scatters these
+columns into dense arrays.  Two products commute exactly when
+popcount(xa & zb) + popcount(za & xb) is even (Aaronson & Gottesman,
+PRA 70, 052328 (2004)).
 
 A set of K pairwise commuting products can be measured jointly.  Its
 sign vectors are K-tuples of +-1 eigenvalues, and the projector onto
@@ -41,9 +45,8 @@ in the observable order of the set.
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,39 +58,11 @@ SignVector = tuple[int, ...]
 # A Pauli product i**e X**x Z**z as its masks and phase exponent (x, z, e mod 4).
 PauliTerm = tuple[int, int, int]
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-for _m in (_X, _Y, _Z):
-    _m.setflags(write=False)
-
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
-
-class PauliLetter(enum.Enum):
-    """One of the three non-identity Pauli operators."""
-
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only 2x2 matrix of this letter."""
-        return {PauliLetter.X: _X, PauliLetter.Y: _Y, PauliLetter.Z: _Z}[self]
-
-    @classmethod
-    def from_char(cls, char: str) -> "PauliLetter":
-        try:
-            return cls(char.upper())
-        except ValueError:
-            raise ParseError(
-                f"invalid Pauli letter {char!r}; only X, Y, Z are allowed (no identity)"
-            ) from None
-
-
 # (X bit, Z bit) of each letter: X = X**1 Z**0, Z = X**0 Z**1, Y = i X**1 Z**1.
-_LETTER_BITS = {PauliLetter.X: (1, 0), PauliLetter.Y: (1, 1), PauliLetter.Z: (0, 1)}
+_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -97,36 +72,27 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return values & 1
 
 
-def _column_values(term: PauliTerm, n: int) -> np.ndarray:
-    """Nonzero entry of each column b of i**e X**x Z**z: i**e (-1)**popcount(z & b)."""
-    _, z, e = term
-    signs = 1.0 - 2.0 * _parity(np.arange(1 << n, dtype=np.int64) & z)
-    return _I_POWERS[e] * signs
-
-
 @dataclass(frozen=True)
 class ProductObservable:
-    """Tensor product of Pauli letters, one per site (site 1 first).
+    """Tensor product of Pauli letters, one per site, as its two bitmasks.
 
-    ``x_mask`` and ``z_mask`` are derived from the letters, site 1 on the
-    most significant bit; the observable is i**y_count X**x_mask Z**z_mask.
+    Site 1 sits on the most significant bit of ``x_mask`` and ``z_mask``;
+    the observable is i**y_count X**x_mask Z**z_mask.  Every one of the
+    ``n_sites`` sites must hold a letter, and no bit above them is set.
     """
 
-    letters: tuple[PauliLetter, ...]
-    x_mask: int = field(init=False, repr=False, compare=False)
-    z_mask: int = field(init=False, repr=False, compare=False)
+    x_mask: int
+    z_mask: int
+    n_sites: int
 
     def __post_init__(self):
-        if len(self.letters) == 0:
+        if self.n_sites < 1:
             raise ParseError("a product observable needs at least one letter")
-        if not all(isinstance(l, PauliLetter) for l in self.letters):
-            raise ParseError("letters must be PauliLetter values")
-        x = z = 0
-        for letter in self.letters:
-            bx, bz = _LETTER_BITS[letter]
-            x, z = (x << 1) | bx, (z << 1) | bz
-        object.__setattr__(self, "x_mask", x)
-        object.__setattr__(self, "z_mask", z)
+        if self.x_mask | self.z_mask != (1 << self.n_sites) - 1:
+            raise ParseError(
+                f"masks x={self.x_mask:#x}, z={self.z_mask:#x} do not give each of "
+                f"{self.n_sites} sites a letter, with no bit above them"
+            )
 
     @classmethod
     def from_string(cls, text: str) -> "ProductObservable":
@@ -134,11 +100,16 @@ class ProductObservable:
         stripped = text.strip()
         if not stripped:
             raise ParseError("empty observable string")
-        return cls(tuple(PauliLetter.from_char(c) for c in stripped))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.letters)
+        x = z = 0
+        for char in stripped:
+            try:
+                bx, bz = _LETTER_BITS[char.upper()]
+            except KeyError:
+                raise ParseError(
+                    f"invalid Pauli letter {char!r}; only X, Y, Z are allowed (no identity)"
+                ) from None
+            x, z = (x << 1) | bx, (z << 1) | bz
+        return cls(x, z, len(stripped))
 
     @property
     def y_count(self) -> int:
@@ -149,17 +120,11 @@ class ProductObservable:
     def term(self) -> PauliTerm:
         return self.x_mask, self.z_mask, self.y_count % 4
 
-    def matrix(self) -> np.ndarray:
-        """Read-only dense 2**N x 2**N matrix, site 1 on the most significant bit."""
-        dim = 1 << self.n_sites
-        cols = np.arange(dim)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[cols ^ self.x_mask, cols] = _column_values(self.term, self.n_sites)
-        mat.setflags(write=False)
-        return mat
-
     def __str__(self) -> str:
-        return "".join(l.value for l in self.letters)
+        return "".join(
+            _BITS_LETTER[(self.x_mask >> bit) & 1, (self.z_mask >> bit) & 1]
+            for bit in reversed(range(self.n_sites))
+        )
 
 
 def commutes(a: ProductObservable, b: ProductObservable) -> bool:
@@ -364,11 +329,13 @@ def build_pvm(report: SetValidation) -> Pvm:
     # The 2**K projectors of 4**N entries each.
     check_size(2 * n + k, "the joint projector stack")
     dim = 1 << n
-    cols = np.arange(dim)
+    cols = np.arange(dim, dtype=np.int64)
     outcomes = np.arange(1 << k, dtype=np.int64)
     stack = np.zeros((1 << k, dim, dim), dtype=np.complex128)
-    for t, term in enumerate(report.products):
+    for t, (x, z, e) in enumerate(report.products):
         chi = (1.0 - 2.0 * _parity(outcomes & t)) * 2.0**-k
-        stack[:, cols ^ term[0], cols] += np.outer(chi, _column_values(term, n))
+        # Column b of O_T holds i**e (-1)**popcount(z & b) in row b ^ x.
+        column = _I_POWERS[e] * (1.0 - 2.0 * _parity(cols & z))
+        stack[:, cols ^ x, cols] += np.outer(chi, column)
     stack.setflags(write=False)
     return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=report.expected_rank)

@@ -54,6 +54,13 @@ RNG_ALGORITHM = "numpy-pcg64"
 # Records mapping to one sign vector must agree to this absolute tolerance.
 RECORD_AGREEMENT_ATOL = 1e-10
 
+# The controlled gate of a site, keyed by the site's (X bit, Z bit): X, Z, or Y = iXZ.
+_GATES = {
+    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+    (1, 1): np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+}
+
 
 def sign_string(signs: SignVector) -> str:
     """Render a sign vector as characters, e.g. ``(1, -1)`` to ``"+-"``."""
@@ -133,10 +140,6 @@ class KrausSet:
     operators: dict[SignVector, np.ndarray]
     multiplicity: int
 
-    def completeness_residual(self) -> float:
-        """Max-norm distance of multiplicity * sum(M^dag M) from the identity."""
-        return self.povm().completeness_residual()
-
     def povm(self) -> Povm:
         """Effects E_s = multiplicity * M_s^dag M_s."""
         return Povm(
@@ -186,7 +189,7 @@ def couple(model: MeasurementModel, system: Ket) -> Ket:
 
     System qubits come first (sites 1..N), then the meter qubits in
     round-major order.  Meter qubit (k, n) controls the Pauli letter of
-    observable k at site n.
+    observable k at site n, read off that site's bits of the two masks.
     """
     n = model.n_sites
     if system.n != n:
@@ -196,7 +199,8 @@ def couple(model: MeasurementModel, system: Ket) -> Ket:
         obs = model.observables.observables[k - 1]
         for site in range(1, n + 1):
             control = n + (k - 1) * n + site
-            state = apply_controlled(obs.letters[site - 1].matrix, control, site, state)
+            gate = _GATES[(obs.x_mask >> (n - site)) & 1, (obs.z_mask >> (n - site)) & 1]
+            state = apply_controlled(gate, control, site, state)
     return state
 
 

@@ -79,7 +79,8 @@ class Ket:
         arr = np.array(arr, dtype=np.complex128)
         if require_normalized:
             norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > NORM_ATOL:
+            # Written so that a NaN norm fails too.
+            if not abs(norm - 1.0) <= NORM_ATOL:
                 raise DomainError(
                     f"state norm is {norm!r}, not 1; use Ket.normalized for explicit rescaling"
                 )
@@ -95,17 +96,14 @@ class Ket:
         """Read-only view of the amplitude array."""
         return self._amps
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
-
     @classmethod
     def normalized(cls, amplitudes: Iterable[complex]) -> "Ket":
         """Build a ket after explicitly rescaling ``amplitudes`` to unit norm."""
         arr = np.asarray(amplitudes, dtype=np.complex128)
         norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise DomainError("cannot normalize the zero vector")
+        # Refused before the division: zero, infinite and NaN norms.
+        if not 0.0 < norm < np.inf:
+            raise DomainError(f"cannot normalize a vector of norm {norm!r}")
         return cls(arr / norm, require_normalized=False)
 
     @classmethod
@@ -144,11 +142,14 @@ class Ket:
         if not isinstance(data, dict):
             raise ParseError(f"ket JSON must be an object, got {type(data).__name__}")
         try:
-            n = int(data["n"])
+            n = data["n"]
             re = np.asarray(data["re"], dtype=np.float64)
             im = np.asarray(data["im"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"ket JSON needs integer 'n' and numeric 're'/'im' arrays: {exc}") from exc
+        # bool is an int subclass, and int() would also take 2.5 or "2".
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError(f"ket JSON qubit count must be an integer, got {n!r}")
         if n < 0:
             raise ParseError(f"ket JSON has negative qubit count {n}")
         # Checked before 1 << n, which would build a huge integer for a hostile n.
@@ -160,7 +161,7 @@ class Ket:
             )
         amps = re + 1j * im
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ParseError(f"ket JSON norm is {norm!r}, outside the 1e-6 tolerance")
         return cls.normalized(amps)
 

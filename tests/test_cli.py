@@ -8,6 +8,8 @@ would see them.
 import json
 import math
 import random
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +153,30 @@ class TestPovm:
         assert code == 0
         assert {"effects", "kraus", "barycentric"} <= set(json.loads(out))
         assert calls == {"build_pvm": 1, "kraus_closed_form": 1}
+
+    @pytest.mark.parametrize("barycentric", [False, True])
+    def test_projectors_freed_before_effects(self, capsys, monkeypatch, barycentric):
+        # Only --barycentric reads the projectors after the Kraus set is built.
+        pvms = []
+        alive_at_effects = []
+        real_pvm = MeasurementModel.pvm
+        real_povm = protocol.KrausSet.povm
+
+        def tracked_pvm(model):
+            pvm = real_pvm(model)
+            pvms.append(weakref.ref(pvm))
+            return pvm
+
+        def checked_povm(kraus):
+            alive_at_effects.append(pvms[0]() is not None)
+            return real_povm(kraus)
+
+        monkeypatch.setattr(MeasurementModel, "pvm", tracked_pvm)
+        monkeypatch.setattr(protocol.KrausSet, "povm", checked_povm)
+        argv = ["povm", "--obs", "XX,ZZ", "--theta", "0.3"]
+        code, _, _ = run(capsys, *argv, *(["--barycentric"] if barycentric else []))
+        assert code == 0
+        assert alive_at_effects == [barycentric]
 
     def test_noncommuting_rejected(self, capsys):
         code, _, err = run(capsys, "povm", "--obs", "XX,ZX", "--theta", "0.3")
@@ -424,6 +450,31 @@ class TestTangle:
         assert "error" in err
 
 
+class TestBadStateFile:
+    """Ket files that parse as JSON but are not a valid state exit 1."""
+
+    STATES = {
+        "nan-amplitude": {"n": 2, "re": [math.nan, 0, 0, 0], "im": [0, 0, 0, 0]},
+        "float-n": {"n": 2.5, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+        "bool-n": {"n": True, "re": [1, 0], "im": [0, 0]},
+        "string-n": {"n": "2", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+    }
+    COMMANDS = {
+        "distribution": ["distribution", "--obs", "XX,ZZ", "--theta", "0.3"],
+        "tangle": ["tangle"],
+    }
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_1(self, capsys, tmp_path, command, state):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(self.STATES[state]))
+        code, out, err = run(capsys, *self.COMMANDS[command], "--state", str(path))
+        assert code == 1
+        assert out == ""
+        assert "vsmsim: error: ket JSON" in err
+
+
 class TestQudit:
     def test_artifact(self, capsys):
         code, out, _ = run(capsys, "qudit", "--d", "3", "--theta", "0.6")
@@ -464,6 +515,14 @@ class TestTopLevel:
         code, _, err = run(capsys)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["frobnicate"], 1)])
+    def test_console_entry_point(self, monkeypatch, argv, code):
+        # The installed ``vsmsim`` script calls console_main, which reads sys.argv.
+        monkeypatch.setattr(sys, "argv", ["vsmsim", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.console_main()
+        assert exit_info.value.code == code
 
 
 class TestJsonLayout:

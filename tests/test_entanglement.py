@@ -289,6 +289,22 @@ class TestStrengthTangleIdentity:
                 abs(expected - spec.strength**2), abs=1e-12
             )
 
+    def test_single_site(self):
+        # N = K = 1: one meter qubit, no tangle, while s^2 = cos^2(2 theta).
+        # N = 1, K >= 2: the odd-N closed form, on the patterns and the dense pairing.
+        for theta in (0.0, 0.3, 1.1):
+            [one] = verify_strength_tangle([MeterSpec(rounds=1, n_sites=1, theta=theta)])
+            assert one.tau == pytest.approx(0.0, abs=1e-12)
+            assert one.residual == pytest.approx(math.cos(2 * theta) ** 2, abs=1e-12)
+            for rounds in (2, 3):
+                spec = MeterSpec(rounds=rounds, n_sites=1, theta=theta)
+                [report] = verify_strength_tangle([spec])
+                d = 2**rounds - 1
+                beta = math.cos(theta) - math.sin(theta) / math.sqrt(d)
+                expected = 4.0 * math.sin(theta) ** 2 * beta**2 / d
+                assert report.tau == pytest.approx(expected, abs=1e-12)
+                assert meter_tangle_simplified(spec) == pytest.approx(expected, abs=1e-12)
+
     def test_odd_sites_two_rounds_breaks_identity(self):
         spec = MeterSpec(rounds=2, n_sites=3, theta=math.pi / 6)
         [report] = verify_strength_tangle([spec])

@@ -134,7 +134,7 @@ class TestKfoldMeter:
             for n in (1, 2, 4):
                 for theta in np.linspace(0, math.pi / 2, 50):
                     spec = MeterSpec(rounds=k, n_sites=n, theta=float(theta))
-                    assert abs(kfold_meter(spec).norm - 1.0) < 1e-12
+                    assert abs(np.linalg.norm(kfold_meter(spec).amplitudes) - 1.0) < 1e-12
 
 
 class TestPatternAmplitudes:

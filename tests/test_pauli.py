@@ -7,6 +7,7 @@ dense matmul chain of ``pauli_oracle`` on random sets, so the fast paths
 never certify themselves.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,33 +19,11 @@ from projectors import pvm_of
 from vsmsim.errors import CommutationError, DependenceError, DimensionError, ParseError
 from vsmsim.pauli import (
     ObservableSet,
-    PauliLetter,
     ProductObservable,
     commutes,
     sign_vectors,
     validate_set,
 )
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SINGLE = {"X": X, "Y": Y, "Z": Z}
-
-
-def kron_oracle(letters):
-    """Dense tensor product built element-by-element, no np.kron."""
-    n = len(letters)
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            val = 1.0 + 0j
-            for q, letter in enumerate(letters):
-                bit_i = (i >> (n - 1 - q)) & 1
-                bit_j = (j >> (n - 1 - q)) & 1
-                val *= SINGLE[letter][bit_i, bit_j]
-            mat[i, j] = val
-    return mat
 
 
 def eig_rank(proj, tol=1e-9):
@@ -59,12 +38,41 @@ class TestParsing:
         assert obs.n_sites == 3
 
     def test_identity_letter_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="invalid Pauli letter 'I'; only X, Y, Z"):
             ProductObservable.from_string("XIZ")
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             ProductObservable.from_string("  ")
+
+    def test_letters_become_masks(self):
+        obs = ProductObservable.from_string("XYZ")
+        # Site 1 on the high bit: X sets only x, Y both, Z only z.
+        assert (obs.x_mask, obs.z_mask, obs.n_sites) == (0b110, 0b011, 3)
+        assert obs.y_count == 1
+        assert obs == ProductObservable(0b110, 0b011, 3)
+        assert [f.name for f in dataclasses.fields(obs)] == ["x_mask", "z_mask", "n_sites"]
+
+    def test_string_round_trip(self):
+        for n in (1, 2, 3):
+            for combo in itertools.product("XYZ", repeat=n):
+                word = "".join(combo)
+                assert str(ProductObservable.from_string(word)) == word
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            (0b10, 0b00, 2),  # site 2 holds no letter
+            (0b00, 0b00, 1),
+            (0b111, 0b000, 2),  # a bit above the two sites
+            (0b01, 0b110, 2),
+            (-1, 0, 2),
+            (0, 0, 0),
+        ],
+    )
+    def test_masks_without_a_letter_per_site_rejected(self, masks):
+        with pytest.raises(ParseError):
+            ProductObservable(*masks)
 
     def test_set_parsing_with_spaces(self):
         group = ObservableSet.from_string(" xx , zz ")
@@ -79,28 +87,6 @@ class TestParsing:
     def test_empty_set_rejected(self):
         with pytest.raises(ParseError):
             ObservableSet.from_string(",")
-
-
-class TestMatrix:
-    def test_single_z(self):
-        mat = np.asarray(ProductObservable.from_string("Z").matrix())
-        np.testing.assert_array_equal(mat, Z)
-
-    def test_zz_diagonal(self):
-        mat = np.asarray(ProductObservable.from_string("ZZ").matrix())
-        np.testing.assert_array_equal(np.diag(mat), [1, -1, -1, 1])
-
-    def test_against_elementwise_oracle(self):
-        for letters in ("XYZ", "YY", "ZXY", "X"):
-            mat = np.asarray(ProductObservable.from_string(letters).matrix())
-            np.testing.assert_allclose(mat, kron_oracle(letters), atol=1e-15)
-
-    def test_matrix_flags(self):
-        op = ProductObservable.from_string("XY").matrix()
-        np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
-        np.testing.assert_allclose(op.conj().T @ op, np.eye(4), atol=1e-15)
-        with pytest.raises(ValueError):
-            op[0, 0] = 1.0
 
 
 class TestCommutes:
@@ -125,7 +111,7 @@ class TestCommutes:
             ]
             for a in observables:
                 for b in observables:
-                    ma, mb = np.asarray(a.matrix()), np.asarray(b.matrix())
+                    ma, mb = oracle.dense(str(a)), oracle.dense(str(b))
                     truly = np.allclose(ma @ mb, mb @ ma, atol=1e-12)
                     assert commutes(a, b) == truly, (str(a), str(b))
 
@@ -213,9 +199,7 @@ def random_commuting_set(rng, n, k):
     while True:
         picks = []
         for _ in range(200):
-            candidate = ProductObservable(
-                tuple(PauliLetter(c) for c in rng.choice(list("XYZ"), size=n))
-            )
+            candidate = ProductObservable.from_string("".join(rng.choice(list("XYZ"), size=n)))
             if all(commutes(candidate, other) for other in picks):
                 picks.append(candidate)
                 if len(picks) == k:
@@ -257,7 +241,7 @@ class TestPvmProperties:
             pvm = pvm_of(group)
             for signs, proj in pvm.projectors.items():
                 for s, obs in zip(signs, group.observables):
-                    mat = np.asarray(obs.matrix())
+                    mat = oracle.dense(str(obs))
                     np.testing.assert_allclose(mat @ proj, s * proj, atol=1e-12)
 
     def test_weighted_sum_reconstruction(self):
@@ -266,7 +250,7 @@ class TestPvmProperties:
         group = random_commuting_set(rng, 3, 2)
         pvm = pvm_of(group)
         dim = 1 << group.n_sites
-        mats = [np.asarray(o.matrix()) for o in group.observables]
+        mats = [oracle.dense(str(o)) for o in group.observables]
         for fixed in sign_vectors(group.size):
             for powers in itertools.product((0, 1), repeat=group.size):
                 lhs = np.eye(dim, dtype=complex)

@@ -173,7 +173,7 @@ class TestCouple:
     def test_norm_preserved(self):
         rng = np.random.default_rng(67)
         psi = random_ket(rng, 2)
-        assert abs(couple(model("XX,ZZ", 0.9), psi).norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(couple(model("XX,ZZ", 0.9), psi).amplitudes) - 1.0) < 1e-12
 
     def test_dimension_checked(self):
         with pytest.raises(DimensionError):
@@ -189,7 +189,7 @@ class TestKrausBruteforce:
     def test_completeness(self):
         for theta in (0.0, 0.5, math.pi / 4, math.pi / 2):
             kraus = kraus_bruteforce(model("XX,ZZ", theta))
-            assert kraus.completeness_residual() < 1e-12
+            assert kraus.povm().completeness_residual() < 1e-12
 
     def test_strong_limit_scaled_projectors(self):
         kraus = kraus_bruteforce(model("XX,ZZ", 0.0))

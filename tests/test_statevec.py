@@ -57,6 +57,14 @@ class TestKet:
         with pytest.raises(DomainError):
             Ket.normalized([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_norm_rejected(self, bad):
+        # A NaN norm fails the unit-norm gate, and neither is divided by.
+        with pytest.raises(DomainError):
+            Ket([bad, 0.0])
+        with pytest.raises(DomainError):
+            Ket.normalized([bad, 1.0])
+
     def test_basis(self):
         ket = Ket.basis(2, 2)
         np.testing.assert_array_equal(ket.amplitudes, [0, 0, 1, 0])
@@ -128,7 +136,18 @@ class TestKetJson:
         # Within the 1e-6 parse tolerance the state is accepted and rescaled.
         amp = math.sqrt(0.5) * (1.0 + 2e-7)
         ket = Ket.from_json({"n": 1, "re": [amp, amp], "im": [0.0, 0.0]})
-        assert abs(ket.norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(ket.amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ParseError, match="norm"):
+            Ket.from_json({"n": 2, "re": [bad, 0.0, 0.0, 0.0], "im": [0.0] * 4})
+
+    @pytest.mark.parametrize("n", [2.5, True, "2"])
+    def test_non_integer_qubit_count_rejected(self, n):
+        data = {"n": n, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+        with pytest.raises(ParseError, match="must be an integer"):
+            Ket.from_json(data)
 
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
@@ -205,7 +224,7 @@ class TestApplyControlled:
                 c = int(rng.integers(1, n + 1))
                 t = c % n + 1
                 state = apply_controlled(Y, c, t, state)
-            assert abs(state.norm - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_double_application_is_identity(self):
         rng = np.random.default_rng(37)
