@@ -150,7 +150,7 @@ def _indented_json(value, indent: str) -> str:
     return json.dumps(value)
 
 
-def _load_state(text: str, n_expected: int | None = None) -> Ket:
+def _load_state(text: str) -> Ket:
     """Read a ket from inline JSON or from a file path.
 
     Accepts either the bare ket object or a meter/sample artifact that
@@ -176,10 +176,7 @@ def _load_state(text: str, n_expected: int | None = None) -> Ket:
             else:
                 data = inner
                 break
-    ket = Ket.from_json(data)
-    if n_expected is not None and ket.n != n_expected:
-        raise ParseError(f"state has {ket.n} qubits, the model needs {n_expected}")
-    return ket
+    return Ket.from_json(data)
 
 
 def _model_from_args(args) -> MeasurementModel:
@@ -268,7 +265,7 @@ def _cmd_povm(args) -> int:
 
 def _cmd_distribution(args) -> int:
     model = _model_from_args(args)
-    state = _load_state(args.state, model.n_sites)
+    state = _load_state(args.state)
     dist = outcome_distribution(model, state)
     if args.format == "json":
         artifact = {
@@ -290,7 +287,7 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _model_from_args(args)
-    state = _load_state(args.state, model.n_sites)
+    state = _load_state(args.state)
     if args.samples == 1:
         record = sample(model, state, args.seed)
         artifact = {

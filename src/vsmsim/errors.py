@@ -22,7 +22,7 @@ class CommutationError(VsmError, ValueError):
 
 
 class DependenceError(VsmError, ValueError):
-    """Observable set is algebraically dependent (wrong joint-projector ranks)."""
+    """Observable set is dependent: a non-empty subset multiplies to +-I."""
 
 
 class ResourceLimitError(VsmError, RuntimeError):

@@ -17,27 +17,27 @@ columns into dense arrays.  Two products commute exactly when
 popcount(xa & zb) + popcount(za & xb) is even (Aaronson & Gottesman,
 PRA 70, 052328 (2004)).
 
-A set of K pairwise commuting products can be measured jointly.  Its
-sign vectors are K-tuples of +-1 eigenvalues, and the projector onto
-the joint eigenspace of sign vector s is
+A set of K pairwise commuting products can be measured jointly when it
+is also independent: no non-empty subset of its members multiplies to
++-I (Gottesman, arXiv:quant-ph/9705052).  ``validate_set`` checks both
+from the masks alone and returns the subset products O_T = i**e X**x Z**z
+as ``(x, z, e)`` terms; it is the one check of a set.  Its sign vectors
+are K-tuples of +-1 eigenvalues, and the projector onto the joint
+eigenspace of sign vector s is
 
     P_s = prod_k (I + s_k O_k)/2 = 2**-K sum_T chi_s(T) O_T,
 
-summed over the 2**K subsets T of the members, where O_T is the
-product of the members in T and chi_s(T) the product of their signs.
-``validate_set`` tracks every O_T = i**e X**x Z**z by its masks and its
-phase exponent e, so it needs no dense matrix.  O_T has a trace only
-when it is +-I, which gives the exact ranks
+summed over the 2**K subsets T of the members, where chi_s(T) is the
+product of the signs in T.  Only O_T = +-I has a trace, so
 
-    rank(P_s) = 2**(N-K) sum_{T: O_T = +-I} chi_s(T) (+-1).
+    rank(P_s) = 2**(N-K) sum_{T: O_T = +-I} chi_s(T) (+-1),
 
-The set is independent (no member is, up to sign, a product of the
-others) exactly when only the empty subset gives +-I, which is the same
-as every projector having rank 2**(N-K) (Gottesman,
-arXiv:quant-ph/9705052).  ``build_pvm`` builds each dense P_s once, by
-scattering the signed permutations O_T of a set that ``accept_set``
-accepted; its caller holds the projectors and passes them on (see
-``protocol.kraus_closed_form``).
+which is 2**(N-K) for every s exactly when the empty subset alone gives
++-I.  That is why the criterion above holds exactly when all joint
+eigenspaces have the same dimension.  ``build_pvm`` builds each dense
+P_s once, by scattering the signed permutations O_T that
+``validate_set`` returned; its caller holds the projectors and passes
+them on (see ``protocol.kraus_closed_form``).
 
 Sign vectors are plain ``tuple[int, ...]`` with entries +1 or -1, listed
 in the observable order of the set.
@@ -187,44 +187,11 @@ class Pvm:
     rank: int
 
 
-@dataclass(frozen=True)
-class SetValidation:
-    """Diagnostics for a candidate observable set.
-
-    ``noncommuting_pairs`` lists the 1-based index pairs of observables
-    that do not commute.  ``ranks`` holds the joint-projector ranks when
-    all pairs commute, ``None`` otherwise.  ``expected_rank`` is
-    2**(N-K) when K does not exceed N.  ``ok`` means accepted for joint
-    measurement.  ``products`` holds the subset products O_T as
-    ``(x, z, e)`` terms, indexed like ``sign_vectors`` (member 1 on the
-    most significant bit of T), when all pairs commute, ``None``
-    otherwise.
-    """
-
-    ok: bool
-    n_sites: int
-    size: int
-    noncommuting_pairs: tuple[tuple[int, int], ...]
-    expected_rank: int | None
-    ranks: dict[SignVector, int] | None
-    failures: tuple[str, ...]
-    products: tuple[PauliTerm, ...] | None
-
-
 def _multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Term of the product ab: moving Z**za past X**xb gives (-1)**popcount(za & xb)."""
     xa, za, ea = a
     xb, zb, eb = b
     return xa ^ xb, za ^ zb, (ea + eb + 2 * (za & xb).bit_count()) % 4
-
-
-def _subset_products(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
-    """O_T for every subset T, members multiplied in set order."""
-    products = [(0, 0, 0)]
-    for obs in obs_set.observables:
-        # Each member doubles the list and takes the low bit, so member 1 ends on the high bit.
-        products = [t for p in products for t in (p, _multiply(p, obs.term))]
-    return tuple(products)
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -243,99 +210,57 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def validate_set(obs_set: ObservableSet) -> SetValidation:
-    """Check pairwise commutation and joint-projector ranks from the masks.
+def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
+    """Subset products O_T of a commuting independent set, indexed like ``sign_vectors``.
 
-    The set is accepted iff all pairs commute and every joint projector
-    has rank 2**(N-K); equal ranks force independence, since a dependent
-    set collapses some joint eigenspaces and inflates others.
+    Member 1 sits on the most significant bit of T.  Raises
+    ``CommutationError`` on a non-commuting pair and ``DependenceError``
+    when a non-empty subset multiplies to +-I.
     """
     k = obs_set.size
-    n = obs_set.n_sites
-    failures: list[str] = []
-
-    bad_pairs = [
+    bad_pairs = tuple(
         (i + 1, j + 1)
-        for i in range(k)
-        for j in range(i + 1, k)
+        for i, j in itertools.combinations(range(k), 2)
         if not commutes(obs_set.observables[i], obs_set.observables[j])
-    ]
-    if bad_pairs:
-        failures.append(
-            "non-commuting pairs (1-based): " + ", ".join(str(p) for p in bad_pairs)
-        )
-
-    expected_rank = (1 << (n - k)) if k <= n else None
-    if expected_rank is None:
-        failures.append(f"set of {k} observables on {n} sites cannot be independent")
-
-    ranks: dict[SignVector, int] | None = None
-    products: tuple[PauliTerm, ...] | None = None
-    if not bad_pairs:
-        products = _subset_products(obs_set)
-        # O_T is Hermitian, so O_T = i**e I has e in {0, 2}: a trace of (1 - e) 2**N.
-        traces = np.array(
-            [1 - e if x == 0 and z == 0 else 0 for x, z, e in products], dtype=np.int64
-        )
-        ranks = {
-            signs: (int(total) << n) >> k
-            for signs, total in zip(sign_vectors(k), _walsh_hadamard(traces))
-        }
-        if expected_rank is not None and any(r != expected_rank for r in ranks.values()):
-            failures.append(
-                f"joint-projector ranks {tuple(ranks.values())} differ from {expected_rank}; "
-                "the set is dependent"
-            )
-
-    return SetValidation(
-        ok=not failures,
-        n_sites=n,
-        size=k,
-        noncommuting_pairs=tuple(bad_pairs),
-        expected_rank=expected_rank,
-        ranks=ranks,
-        failures=tuple(failures),
-        products=products,
     )
+    if bad_pairs:
+        raise CommutationError(f"set {obs_set} has non-commuting pairs {bad_pairs}")
+    products = [(0, 0, 0)]
+    for j, obs in enumerate(obs_set.observables, start=1):
+        # Each member doubles the list and takes the low bit, so member 1 ends on the high bit.
+        products = [t for p in products for t in (p, _multiply(p, obs.term))]
+        # The subsets that hold member j; the list stays at 2**j while none gives +-I.
+        for t in range(1, len(products), 2):
+            x, z, e = products[t]
+            if x == z == 0:
+                members = [i + 1 for i in range(j) if (t >> (j - 1 - i)) & 1]
+                # O_T is Hermitian, so O_T = i**e I has e in {0, 2}.
+                raise DependenceError(
+                    f"set {obs_set} is dependent: members {members} multiply to "
+                    f"{'+' if e == 0 else '-'}I"
+                )
+    return tuple(products)
 
 
-def accept_set(obs_set: ObservableSet) -> SetValidation:
-    """Validate ``obs_set`` and return the report of an accepted set.
-
-    Raises ``CommutationError`` on a non-commuting pair and
-    ``DependenceError`` when the ranks betray a dependent set.
-    """
-    report = validate_set(obs_set)
-    if report.noncommuting_pairs:
-        raise CommutationError(
-            f"set {obs_set} has non-commuting pairs {report.noncommuting_pairs}"
-        )
-    if not report.ok:
-        raise DependenceError("; ".join(report.failures))
-    return report
-
-
-def build_pvm(report: SetValidation) -> Pvm:
-    """Joint eigenprojectors of a set that ``accept_set`` accepted.
+def build_pvm(products: tuple[PauliTerm, ...], n_sites: int) -> Pvm:
+    """Joint eigenprojectors from the subset products that ``validate_set`` returned.
 
     Each P_s = 2**-K sum_T chi_s(T) O_T is built once: every O_T is a
     signed permutation, so its 2**N entries are scattered into all 2**K
     projectors at once.  The entries are multiples of 2**-K, exact in
     floating point.
     """
-    if not report.ok:
-        raise DependenceError("; ".join(report.failures))
-    n, k = report.n_sites, report.size
+    n, k = n_sites, len(products).bit_length() - 1
     # The 2**K projectors of 4**N entries each.
     check_size(2 * n + k, "the joint projector stack")
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
     outcomes = np.arange(1 << k, dtype=np.int64)
     stack = np.zeros((1 << k, dim, dim), dtype=np.complex128)
-    for t, (x, z, e) in enumerate(report.products):
+    for t, (x, z, e) in enumerate(products):
         chi = (1.0 - 2.0 * _parity(outcomes & t)) * 2.0**-k
         # Column b of O_T holds i**e (-1)**popcount(z & b) in row b ^ x.
         column = _I_POWERS[e] * (1.0 - 2.0 * _parity(cols & z))
         stack[:, cols ^ x, cols] += np.outer(chi, column)
     stack.setflags(write=False)
-    return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=report.expected_rank)
+    return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=1 << (n - k))

@@ -37,14 +37,14 @@ from .errors import ConsistencyError, DimensionError, DomainError
 from .meter import MeterSpec, kfold_meter
 from .pauli import (
     ObservableSet,
+    PauliTerm,
     Pvm,
-    SetValidation,
     SignVector,
     _parity,
     _walsh_hadamard,
-    accept_set,
     build_pvm,
     sign_vectors,
+    validate_set,
 )
 from .statevec import Ket, apply_controlled, check_size, tensor
 
@@ -75,17 +75,17 @@ class MeasurementModel:
     controlled gates (a permutation of 1..K, default ascending).  The
     extracted Kraus operators and POVM do not depend on it because the
     observables commute; it is kept explicit so the circuit is fully
-    specified.  ``validation`` is the report of the one validation of
-    the observable set, made on construction.
+    specified.  ``products`` holds the subset products that
+    ``validate_set``, the one check of the set, returned on construction.
     """
 
     observables: ObservableSet
     theta: float
     coupling_order: tuple[int, ...] = ()
-    validation: SetValidation = field(init=False, repr=False, compare=False)
+    products: tuple[PauliTerm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "validation", accept_set(self.observables))
+        object.__setattr__(self, "products", validate_set(self.observables))
         # Delegates the theta domain check.
         MeterSpec(rounds=self.size, n_sites=self.observables.n_sites, theta=self.theta)
         order = tuple(self.coupling_order) or tuple(range(1, self.size + 1))
@@ -123,7 +123,7 @@ class MeasurementModel:
 
     def pvm(self) -> Pvm:
         """The joint eigenprojectors, a new dense 2**K * 4**N stack per call."""
-        return build_pvm(self.validation)
+        return build_pvm(self.products, self.n_sites)
 
     def to_json(self) -> dict:
         return {

@@ -142,11 +142,14 @@ class Ket:
         if not isinstance(data, dict):
             raise ParseError(f"ket JSON must be an object, got {type(data).__name__}")
         try:
-            n = data["n"]
-            re = np.asarray(data["re"], dtype=np.float64)
-            im = np.asarray(data["im"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            n, re, im = data["n"], data["re"], data["im"]
+        except KeyError as exc:
             raise ParseError(f"ket JSON needs integer 'n' and numeric 're'/'im' arrays: {exc}") from exc
+        # numpy would read true as 1.0 and "0" as 0.0, so each JSON value is checked
+        # itself; bool is an int subclass, but its type is not int.
+        if not all(isinstance(part, list) and all(type(v) in (int, float) for v in part)
+                   for part in (re, im)):
+            raise ParseError("ket JSON 're' and 'im' must be arrays of numbers")
         # bool is an int subclass, and int() would also take 2.5 or "2".
         if not isinstance(n, int) or isinstance(n, bool):
             raise ParseError(f"ket JSON qubit count must be an integer, got {n!r}")
@@ -155,11 +158,14 @@ class Ket:
         # Checked before 1 << n, which would build a huge integer for a hostile n.
         check_size(n, "ket JSON")
         dim = 1 << n
-        if re.shape != (dim,) or im.shape != (dim,):
+        if len(re) != dim or len(im) != dim:
             raise ParseError(
-                f"ket JSON for n={n} needs {dim} amplitudes, got {re.size} re / {im.size} im"
+                f"ket JSON for n={n} needs {dim} amplitudes, got {len(re)} re / {len(im)} im"
             )
-        amps = re + 1j * im
+        try:
+            amps = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+        except OverflowError as exc:
+            raise ParseError(f"ket JSON amplitude out of range: {exc}") from exc
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= 1e-6:
             raise ParseError(f"ket JSON norm is {norm!r}, outside the 1e-6 tolerance")

@@ -110,6 +110,19 @@ class TestPovm:
             np.testing.assert_allclose(mat, proj, atol=1e-12)
         assert "kraus" not in artifact
 
+    @pytest.mark.parametrize(
+        "obs, message",
+        [
+            ("XX,ZZ,YY", "set XX,ZZ,YY is dependent: members [1, 2, 3] multiply to -I"),
+            ("X,X", "set X,X is dependent: members [1, 2] multiply to +I"),
+        ],
+    )
+    def test_dependent_set_exits_1(self, capsys, obs, message):
+        code, out, err = run(capsys, "povm", "--obs", obs, "--theta", "0.3")
+        assert code == 1
+        assert out == ""
+        assert err == f"vsmsim: error: {message}\n"
+
     def test_kraus_included_on_request(self, capsys):
         code, out, _ = run(
             capsys, "povm", "--obs", "ZZ", "--theta", "0.4", "--kraus"
@@ -221,13 +234,23 @@ class TestDistribution:
         assert probs["+"] == pytest.approx(1.0)
         assert probs["-"] == pytest.approx(0.0, abs=1e-15)
 
-    def test_wrong_qubit_count(self, capsys):
-        code, _, err = run(
-            capsys, "distribution", "--obs", "XYZ", "--theta", "0.2",
-            "--state", GHZ2_JSON,
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["distribution"],
+            ["sample", "--seed", "1"],
+            ["sample", "--seed", "1", "--samples", "100"],
+        ],
+        ids=["distribution", "sample", "sample-counts"],
+    )
+    def test_wrong_qubit_count(self, capsys, command):
+        # The library refuses the state before it allocates anything.
+        code, out, err = run(
+            capsys, *command, "--obs", "XYZ", "--theta", "0.2", "--state", GHZ2_JSON
         )
         assert code == 1
-        assert "error" in err
+        assert out == ""
+        assert "vsmsim: error: system has 2 qubits, model needs 3" in err
 
 
 class TestSample:
@@ -458,6 +481,8 @@ class TestBadStateFile:
         "float-n": {"n": 2.5, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
         "bool-n": {"n": True, "re": [1, 0], "im": [0, 0]},
         "string-n": {"n": "2", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+        "string-amplitudes": {"n": 1, "re": ["1", "0"], "im": [False, "0"]},
+        "bool-amplitude": {"n": 1, "re": [True, 0], "im": [0, 0]},
     }
     COMMANDS = {
         "distribution": ["distribution", "--obs", "XX,ZZ", "--theta", "0.3"],

@@ -9,6 +9,8 @@ never certify themselves.
 
 import dataclasses
 import itertools
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from vsmsim.errors import CommutationError, DependenceError, DimensionError, Par
 from vsmsim.pauli import (
     ObservableSet,
     ProductObservable,
+    build_pvm,
     commutes,
     sign_vectors,
     validate_set,
@@ -123,39 +126,80 @@ class TestCommutes:
             )
 
 
+def term_dense(term, n):
+    """Dense i**e X**x Z**z, from kron products of I, X and Z per site."""
+    x, z, e = term
+
+    def power(letter, mask):
+        return reduce(
+            np.kron,
+            (oracle.LETTERS[letter] if (mask >> (n - 1 - i)) & 1 else np.eye(2) for i in range(n)),
+        )
+
+    return 1j**e * power("X", x) @ power("Z", z)
+
+
 class TestValidateSet:
     def test_bell_pair_accepted(self):
-        report = validate_set(ObservableSet.from_string("XX,ZZ"))
-        assert report.ok
-        assert report.expected_rank == 1
-        assert report.ranks is not None
-        assert tuple(report.ranks.values()) == (1, 1, 1, 1)
-        # Cross-check each reported rank against the eigenvalue count.
-        pvm = pvm_of(ObservableSet.from_string("XX,ZZ"))
-        for signs, proj in pvm.projectors.items():
-            assert report.ranks[signs] == eig_rank(proj)
+        # O_T for T = {}, {ZZ}, {XX}, {XX, ZZ}; XX ZZ = -YY = X**3 Z**3.
+        products = validate_set(ObservableSet.from_string("XX,ZZ"))
+        assert products == ((0, 0, 0), (0, 0b11, 0), (0b11, 0, 0), (0b11, 0b11, 0))
+        # Cross-check the projectors' rank against the eigenvalue count.
+        pvm = build_pvm(products, 2)
+        assert pvm.rank == 1
+        assert [eig_rank(proj) for proj in pvm.projectors.values()] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("words", ["XX,ZZ", "XYZ,YXZ", "XXXX,ZZZZ,XXZZ", "YZ"])
+    def test_products_match_dense_chain(self, words):
+        members = words.split(",")
+        products = validate_set(ObservableSet.from_string(words))
+        n, k = len(members[0]), len(members)
+        for t, term in enumerate(products):
+            chain = np.eye(1 << n, dtype=complex)
+            for i, word in enumerate(members):
+                if (t >> (k - 1 - i)) & 1:
+                    chain = chain @ oracle.dense(word)
+            np.testing.assert_allclose(term_dense(term, n), chain, rtol=0, atol=1e-12)
 
     def test_noncommuting_rejected(self):
-        report = validate_set(ObservableSet.from_string("XX,ZX"))
-        assert not report.ok
-        assert report.noncommuting_pairs == ((1, 2),)
-        assert report.ranks is None
+        with pytest.raises(CommutationError, match=r"^set XX,ZX has non-commuting pairs \(\(1, 2\),\)$"):
+            validate_set(ObservableSet.from_string("XX,ZX"))
 
     def test_dependent_rejected(self):
         # XX,ZZ,YY commute pairwise but their product is a scalar.
-        report = validate_set(ObservableSet.from_string("XX,ZZ,YY"))
-        assert not report.ok
-        assert report.noncommuting_pairs == ()
-        assert report.ranks is not None
+        with pytest.raises(DependenceError) as info:
+            validate_set(ObservableSet.from_string("XX,ZZ,YY"))
+        assert str(info.value) == "set XX,ZZ,YY is dependent: members [1, 2, 3] multiply to -I"
 
     def test_duplicate_rejected(self):
-        report = validate_set(ObservableSet.from_string("XX,ZZ,XX"))
-        assert not report.ok
+        with pytest.raises(DependenceError) as info:
+            validate_set(ObservableSet.from_string("XX,ZZ,XX"))
+        assert str(info.value) == "set XX,ZZ,XX is dependent: members [1, 3] multiply to +I"
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            ("XZ,ZX,YY", "members [1, 2, 3] multiply to +I"),
+            ("XX,XX", "members [1, 2] multiply to +I"),
+            ("X,X", "members [1, 2] multiply to +I"),
+            ("X,X,X", "members [1, 2] multiply to +I"),
+            ("ZZ,XX,YY,ZZ", "members [1, 2, 3] multiply to -I"),
+        ],
+    )
+    def test_dependence_message(self, words, message):
+        with pytest.raises(DependenceError) as info:
+            validate_set(ObservableSet.from_string(words))
+        assert str(info.value) == f"set {words} is dependent: {message}"
 
     def test_commutation_matrix_shape(self):
-        assert validate_set(ObservableSet.from_string("XX,ZZ")).noncommuting_pairs == ()
-        report = validate_set(ObservableSet.from_string("XX,ZX,ZZ"))
-        assert report.noncommuting_pairs == ((1, 2), (2, 3))
+        assert len(validate_set(ObservableSet.from_string("XX,ZZ"))) == 4
+        with pytest.raises(CommutationError, match=r"pairs \(\(1, 2\), \(2, 3\)\)$"):
+            validate_set(ObservableSet.from_string("XX,ZX,ZZ"))
+
+    def test_commutation_checked_first(self):
+        # Dependent and non-commuting: the pairs are reported.
+        with pytest.raises(CommutationError):
+            validate_set(ObservableSet.from_string("X,X,Z"))
 
 
 class TestJointPvm:
@@ -207,8 +251,11 @@ def random_commuting_set(rng, n, k):
         if len(picks) < k:
             continue
         group = ObservableSet(tuple(picks))
-        if validate_set(group).ok:
-            return group
+        try:
+            validate_set(group)
+        except DependenceError:
+            continue
+        return group
 
 
 class TestPvmProperties:
@@ -317,23 +364,24 @@ class TestMaskCoreAgainstOracle:
     def check(self, words):
         group = ObservableSet.from_string(",".join(words))
         n, k = group.n_sites, group.size
-        report = validate_set(group)
         pairs = oracle.noncommuting_pairs(words)
-        assert report.noncommuting_pairs == pairs, words
         if pairs:
-            assert report.ranks is None and not report.ok
-            with pytest.raises(CommutationError):
-                pvm_of(group)
+            with pytest.raises(CommutationError, match=re.escape(f"non-commuting pairs {pairs}")):
+                validate_set(group)
             return "noncommuting"
         expected = oracle.ranks(words)
-        assert report.ranks == expected, words
         accepted = k <= n and all(r == 1 << (n - k) for r in expected.values())
-        assert report.ok == accepted, words
         if not accepted:
-            with pytest.raises(DependenceError):
-                pvm_of(group)
+            with pytest.raises(DependenceError) as info:
+                validate_set(group)
+            # The named members do multiply to the named scalar.
+            found = re.search(r"members \[([\d, ]+)\] multiply to ([+-])I$", str(info.value))
+            chain = reduce(np.matmul, (oracle.dense(words[int(m) - 1]) for m in found[1].split(",")))
+            scalar = 1 if found[2] == "+" else -1
+            np.testing.assert_allclose(chain, scalar * np.eye(1 << n), rtol=0, atol=1e-12)
             return "dependent"
-        pvm = pvm_of(group)
+        pvm = build_pvm(validate_set(group), n)
+        assert pvm.rank == 1 << (n - k)
         for signs, proj in oracle.raw_projectors(words).items():
             np.testing.assert_allclose(pvm.projectors[signs], proj, rtol=0, atol=1e-12)
         return "accepted"
@@ -360,8 +408,7 @@ class TestMaskCoreAgainstOracle:
     )
     def test_dependent_sets(self, words):
         assert self.check(words.split(",")) == "dependent"
-        ranks = validate_set(ObservableSet.from_string(words)).ranks
-        assert 0 in ranks.values()
+        assert 0 in oracle.ranks(words.split(",")).values()
 
 
 def test_sign_vector_order():

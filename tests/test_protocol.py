@@ -274,8 +274,8 @@ class TestPovm:
         built = []
         real_build, real_effects = protocol.build_pvm, protocol.KrausSet.povm
 
-        def build(report):
-            pvm = real_build(report)
+        def build(products, n_sites):
+            pvm = real_build(products, n_sites)
             built.append((weakref.ref(pvm), weakref.ref(next(iter(pvm.projectors.values())).base)))
             return pvm
 

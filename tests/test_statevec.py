@@ -149,6 +149,19 @@ class TestKetJson:
         with pytest.raises(ParseError, match="must be an integer"):
             Ket.from_json(data)
 
+    @pytest.mark.parametrize(
+        "re, im",
+        [(["1", "0"], [False, "0"]), ([True, 0], [0, 0]), ([1, None], [0, 0]), ([1, [0]], [0, 0])],
+    )
+    def test_non_number_amplitude_rejected(self, re, im):
+        # numpy would read each of these as a float array holding |0>.
+        with pytest.raises(ParseError, match="must be arrays of numbers"):
+            Ket.from_json({"n": 1, "re": re, "im": im})
+
+    def test_int_amplitude_beyond_float_rejected(self):
+        with pytest.raises(ParseError, match="out of range"):
+            Ket.from_json({"n": 1, "re": [10**400, 0], "im": [0, 0]})
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             Ket.from_json("not json at all")
