@@ -18,11 +18,15 @@ seed (null when no randomness is involved), and the qubit-ordering
 convention.  The artifact goes to --out when given (summary line on
 stdout), otherwise to stdout (summary line on stderr).
 
-The JSON layout is exactly that of ``json.dumps(artifact, indent=2)``.
-``_indented_json`` writes it without json's slow pure-Python indenting
-encoder: each list of plain ints and floats is one call of the C
-encoder, whose ", " separators are rewritten into the indented line
-breaks, and only dicts and the other lists recurse in Python.
+The JSON layout is exactly that of ``json.dumps(artifact, indent=2)``,
+with every numpy array laid out as its ``tolist()``.  ``_indented_json``
+writes it without json's slow pure-Python indenting encoder.  The dense
+matrices and state vectors reach it as float64 arrays, which are almost
+all exact zeros: only the other entries are formatted, by one call of
+the C encoder, and each run of +0.0 is one repeated string.  Each list
+of plain ints and floats is one call of the C encoder, whose ", "
+separators are rewritten into the indented line breaks, and only dicts
+and the other lists recurse in Python.
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification
 failure (a sweep or tangle residual at or above 1e-8, or a bell-demo
@@ -129,25 +133,89 @@ def _json_payload(artifact: dict) -> str:
 def _indented_json(value, indent: str) -> str:
     """``json.dumps(value, indent=2)`` for a value starting at ``indent``.
 
-    json's pure-Python encoder, which ``indent`` selects, is slow on
-    MB-sized arrays.  Containers recurse here, but a list of plain ints
-    and floats is written by one call of the C encoder, whose ", "
-    separators (never part of a number) become line breaks.
+    A numpy array is written as its ``tolist()`` would be.  json's
+    pure-Python encoder, which ``indent`` selects, is slow on MB-sized
+    arrays.  Containers recurse here, but a list of plain ints and floats
+    is written by one call of the C encoder, whose ", " separators (never
+    part of a number) become line breaks, and a 1-D or 2-D float64 array
+    goes to ``_float_array_json``, which formats only its entries that
+    are not +0.0.
     """
     inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim in (1, 2):
+            return _float_array_json(value, indent)
+        return _indented_json(value.tolist(), indent)
+    # One f-string copies an MB-sized body once per level; a chain of + copies it per step.
     if isinstance(value, dict) and value:
         # json.dumps({key: 0}) spells the key as json does for any key type.
-        items = (
+        body = sep.join(
             f"{json.dumps({k: 0})[1:-4]}: {_indented_json(v, inner)}" for k, v in value.items()
         )
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) <= {int, float}:
-            body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+            body = json.dumps(value)[1:-1].replace(", ", sep)
         else:
-            body = (",\n" + inner).join(_indented_json(v, inner) for v in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
+            body = sep.join(_indented_json(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(value)
+
+
+def _float_array_json(arr: np.ndarray, indent: str) -> str:
+    """``json.dumps(arr.tolist(), indent=2)`` for a 1-D or 2-D float64 array at ``indent``.
+
+    Only the entries whose bits are not those of +0.0 are formatted
+    (-0.0, NaN and infinities are), all by one call of the C encoder.
+    They go to the encoder in chunks, runs of adjacent entries within one
+    row, so that a dense row is one chunk and costs one string replace.
+    Each run of +0.0 between chunks is one repeated string.  A matrix is
+    scanned once and its chunks are split by row.
+    """
+    if arr.size == 0:
+        return _indented_json(arr.tolist(), indent)
+    row_indent = indent + "  " if arr.ndim == 2 else indent
+    sep = ",\n" + row_indent + "  "
+    zero = "0.0" + sep
+    n_cols = arr.shape[-1]
+    flat = arr.reshape(-1)
+    formatted = flat.view(np.uint64) != 0
+    # Chunk c covers flat entries lo[c] to hi[c] - 1.
+    grid = formatted.reshape(-1, n_cols)
+    starts = grid.copy()
+    starts[:, 1:] &= ~grid[:, :-1]
+    stops = grid.copy()
+    stops[:, :-1] &= ~grid[:, 1:]
+    lo = np.flatnonzero(starts)
+    hi = np.flatnonzero(stops) + 1
+    # The +0.0 entries before each chunk, back to the previous chunk or to its row's start.
+    after_prev = np.zeros_like(hi)
+    after_prev[1:] = hi[:-1]
+    gaps = (lo - np.maximum(after_prev, lo - lo % n_cols)).tolist()
+    if lo.size == 1:
+        # A dense vector is one chunk: no selection, slicing or splitting.
+        texts = [json.dumps(flat[lo[0] : hi[0]].tolist())[1:-1]]
+    else:
+        values = flat[formatted].tolist()
+        cuts = np.cumsum(hi - lo).tolist()
+        chunks = [values[a:b] for a, b in zip([0] + cuts, cuts)]
+        texts = json.dumps(chunks)[2:-2].split("], [")
+    texts = [zero * gap + text.replace(", ", sep) for gap, text in zip(gaps, texts)]
+    ends = range(n_cols, flat.size + 1, n_cols)
+    bounds = np.searchsorted(lo, [0, *ends]).tolist()
+    his = hi.tolist()
+    bodies = (
+        sep.join(texts[a:b]) + (sep + "0.0") * (end - his[b - 1])
+        if a < b
+        else zero * (n_cols - 1) + "0.0"
+        for a, b, end in zip(bounds, bounds[1:], ends)
+    )
+    rows = [f"[\n{row_indent}  {body}\n{row_indent}]" for body in bodies]
+    if arr.ndim == 1:
+        return rows[0]
+    body = (",\n" + row_indent).join(rows)
+    return f"[\n{row_indent}{body}\n{indent}]"
 
 
 def _load_state(text: str) -> Ket:
@@ -217,7 +285,7 @@ def _cmd_meter(args) -> int:
         "theta": spec.theta,
         "strength": spec.strength,
         "vsm_compliant": spec.vsm_compliant,
-        "state": state.to_json(),
+        "state": {"n": state.n, **matrix_to_json(state.amplitudes)},
     }
     summary = (
         f"meter K={spec.rounds} N={spec.n_sites} theta={_fmt(spec.theta)} "

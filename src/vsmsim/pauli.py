@@ -214,8 +214,9 @@ def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
     """Subset products O_T of a commuting independent set, indexed like ``sign_vectors``.
 
     Member 1 sits on the most significant bit of T.  Raises
-    ``CommutationError`` on a non-commuting pair and ``DependenceError``
-    when a non-empty subset multiplies to +-I.
+    ``CommutationError`` on a non-commuting pair, ``ResourceLimitError``
+    when 2**K products exceed the ``max_qubits()`` cap, and
+    ``DependenceError`` when a non-empty subset multiplies to +-I.
     """
     k = obs_set.size
     bad_pairs = tuple(
@@ -225,6 +226,7 @@ def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
     )
     if bad_pairs:
         raise CommutationError(f"set {obs_set} has non-commuting pairs {bad_pairs}")
+    check_size(k, "the 2^K subset products")
     products = [(0, 0, 0)]
     for j, obs in enumerate(obs_set.observables, start=1):
         # Each member doubles the list and takes the low bit, so member 1 ends on the high bit.

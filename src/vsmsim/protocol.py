@@ -413,9 +413,13 @@ def qudit_vsm_bruteforce(d: int, theta: float) -> list[np.ndarray]:
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
-    """Row-major real/imag parts, JSON-ready."""
+    """Real and imaginary parts as float64 arrays under "re" and "im".
+
+    The arrays are not JSON-ready lists: the CLI's artifact writer
+    renders them as ``json.dumps`` would render their ``tolist()``.
+    """
     arr = np.asarray(mat, dtype=np.complex128)
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+    return {"re": arr.real, "im": arr.imag}
 
 
 def effects_to_json(effects: dict[SignVector, np.ndarray]) -> dict:

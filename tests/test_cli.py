@@ -203,6 +203,17 @@ class TestPovm:
         assert code == 1
         assert "above the limit of 8" in err
 
+    @pytest.mark.parametrize("command", ["povm", "distribution"])
+    def test_subset_products_over_qubit_cap(self, capsys, monkeypatch, command):
+        # The set is refused while validated, before its 2^4 subset products exist.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+        state = ["--state", GHZ2_JSON] if command == "distribution" else []
+        code, out, err = run(
+            capsys, command, "--obs", "ZXXX,XZXX,XXZX,XXXZ", "--theta", "0.3", *state
+        )
+        assert (code, out) == (1, "")
+        assert "the 2^K subset products needs 2^4 entries, above the limit of 3" in err
+
 
 class TestDistribution:
     def test_csv_default(self, capsys):
@@ -610,3 +621,98 @@ class TestJsonLayout:
     )
     def test_matches_indent_2_on_edge_cases(self, value):
         assert _json_payload(value) == json.dumps(value, indent=2) + "\n"
+
+    # Float64 arrays, as the artifacts hand them over, against their tolist().
+    SPECIALS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+    ARRAYS = {
+        "leading-zeros": [0.0, 0.0, 0.0, 1.5, -2.25],
+        "trailing-zeros": [1.5, 0.1, 0.0, 0.0],
+        "inner-runs": [0.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0],
+        "specials-among-zeros": [0.0, -0.0, 0.0, math.nan, math.inf, 0.0, -math.inf, 5e-324, 1e16],
+        "all-zero": [0.0] * 7,
+        "no-zero": [0.5, -1.0, 2e-300, 1e16, 3.0],
+        "single-zero": [0.0],
+        "single-nonzero": [-0.0],
+        "empty": [],
+        "matrix-row-crossing-runs": [
+            [1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]
+        ],
+        "matrix-last-column": [[0.0, 0.0, 1.0], [2.0, 0.0, 3.0], [0.0, 4.0, 5.0]],
+        "matrix-all-zero": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "matrix-no-zero": [[1.0, -2.0], [math.nan, 0.25]],
+        "matrix-specials": [[-0.0, 0.0, math.inf], [0.0, -math.inf, 0.0], [5e-324, 0.0, 1e16]],
+        "matrix-single-zero": [[0.0]],
+        "matrix-single-nonzero": [[7.5]],
+        "matrix-one-row": [[0.0, 0.0, 1.0, 0.0]],
+        "matrix-one-column": [[0.0], [1.0], [0.0], [-0.0]],
+        "matrix-no-rows": np.zeros((0, 3)),
+        "matrix-no-columns": np.zeros((3, 0)),
+    }
+
+    @staticmethod
+    def nest(value, depth):
+        for _ in range(depth):
+            value = {"k": [value]}
+        return value
+
+    def assert_array_layout(self, arr, depths=(0, 1, 3)):
+        assert arr.dtype == np.float64
+        for depth in depths:
+            expected = json.dumps(self.nest(arr.tolist(), depth), indent=2) + "\n"
+            assert _json_payload(self.nest(arr, depth)) == expected
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_float_array_matches_tolist(self, name):
+        self.assert_array_layout(np.array(self.ARRAYS[name], dtype=np.float64))
+
+    def test_float_array_views_match_tolist(self):
+        # matrix_to_json hands over the strided real and imaginary parts of a complex matrix.
+        mat = np.zeros((5, 4), dtype=np.complex128)
+        mat[0, 3], mat[2, 0], mat[2, 1], mat[4, 2] = 1 + 2j, -0.5, 3j, complex(-0.0, 1e16)
+        for arr in (mat.real, mat.imag, mat.T.real, mat.real[:, 1:3], mat.real.reshape(-1)):
+            self.assert_array_layout(arr)
+
+    def test_float_array_random_sparse(self):
+        rng = np.random.default_rng(20261018)
+        pool = np.array([0.0] * 12 + self.SPECIALS + [0.1, -3.5, 2.5e300, 123456789.125])
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 9, size=rng.integers(1, 3)))
+            arr = rng.choice(pool, size=shape)
+            if rng.random() < 0.3:
+                arr = np.where(rng.random(shape) < rng.random(), arr, 0.0)
+            self.assert_array_layout(arr, depths=(int(rng.integers(0, 4)),))
+
+    def test_other_arrays_follow_tolist(self):
+        for arr in (np.arange(6).reshape(2, 3), np.zeros((2, 2, 2)), np.float32([0.5, 0.0])):
+            assert _json_payload({"a": arr}) == json.dumps({"a": arr.tolist()}, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, paths",
+        [
+            (["meter", "--K", "2", "--N", "2", "--theta", "0.3"], [("state",)]),
+            (["povm", "--obs", "XX,ZZ", "--theta", "0.3", "--kraus"],
+             [("effects", "++"), ("effects", "--"), ("kraus", "+-")]),
+            (["qudit", "--d", "3", "--theta", "0.3"], [("effects", 0), ("kraus", 2)]),
+        ],
+        ids=["meter", "povm", "qudit"],
+    )
+    def test_dense_arrays_reach_the_writer(self, capsys, monkeypatch, argv, paths):
+        # A .tolist() between the model and the writer would cost the array path its speed.
+        seen = []
+        real_payload = cli._json_payload
+
+        def spy(artifact):
+            seen.append(artifact)
+            return real_payload(artifact)
+
+        monkeypatch.setattr(cli, "_json_payload", spy)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        [artifact] = seen
+        for path in paths:
+            matrix = artifact
+            for key in path:
+                matrix = matrix[key]
+            for part in ("re", "im"):
+                assert isinstance(matrix[part], np.ndarray)
+                assert matrix[part].dtype == np.float64

@@ -4,8 +4,10 @@ Each invocation writes its artifact with ``--out`` and the file's hash
 is compared with a pinned value, so any change to artifact bytes
 (layout, float rendering, RNG stream, numerics) fails here and must be
 deliberate.  The first nine are the README examples plus an 8-qubit
-POVM; the last three cover the MB-sized meter, a Y-containing POVM with
-Kraus operators and barycentric coordinates, and a JSON sweep.
+POVM; the next three cover the MB-sized meter, a Y-containing POVM with
+Kraus operators and barycentric coordinates, and a JSON sweep.  The last
+is a single shot, whose post-state is written from ``Ket.to_json``
+lists rather than from float64 arrays.
 """
 
 import hashlib
@@ -42,6 +44,8 @@ GOLDENS = [
      "03fce7df93c3b42503232a315a8f01d66db12bf448cd19d16ed151200d533fce"),
     ("sweep --K 2 --N 10 --grid 0:90deg:5 --format json",
      "7f29fd40972a5f40273a62be71fd633d815c1c595bc05fa5eb09e7224ceb0de8"),
+    ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7",
+     "8b9a7d469afdf4038810fe856fa13cb920b645adf7e7e2e0c11eac72d1e59303"),
 ]
 
 

@@ -18,7 +18,14 @@ import pytest
 import pauli_oracle as oracle
 from projectors import pvm_of
 
-from vsmsim.errors import CommutationError, DependenceError, DimensionError, ParseError
+from vsmsim import pauli
+from vsmsim.errors import (
+    CommutationError,
+    DependenceError,
+    DimensionError,
+    ParseError,
+    ResourceLimitError,
+)
 from vsmsim.pauli import (
     ObservableSet,
     ProductObservable,
@@ -200,6 +207,18 @@ class TestValidateSet:
         # Dependent and non-commuting: the pairs are reported.
         with pytest.raises(CommutationError):
             validate_set(ObservableSet.from_string("X,X,Z"))
+
+    def test_subset_products_over_qubit_cap(self, monkeypatch):
+        # Four commuting, independent members: 2^4 products, above a cap of 3 qubits.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "3")
+
+        def no_product(*args):
+            raise AssertionError("a subset product was formed before the size check")
+
+        monkeypatch.setattr(pauli, "_multiply", no_product)
+        with pytest.raises(ResourceLimitError) as info:
+            validate_set(ObservableSet.from_string("ZXXX,XZXX,XXZX,XXXZ"))
+        assert str(info.value).startswith("the 2^K subset products needs 2^4 entries")
 
 
 class TestJointPvm:
