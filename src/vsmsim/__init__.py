@@ -6,7 +6,7 @@ strength, by coupling the system to a single entangled meter register of
 N*K qubits prepared in a GHZ-like state.  It provides:
 
 - ``pauli``: product observables, commutation tests, joint eigenprojectors
-- ``statevec``: dense state vectors and the few primitives the scheme needs
+- ``statevec``: dense state vectors and the size cap on dense objects
 - ``meter``: GHZ-like meter states and the strength/angle dictionary
 - ``protocol``: coupling circuit, outcome combination, Kraus/POVM extraction
   (both brute-force and closed-form), sampling, and a qudit reference model

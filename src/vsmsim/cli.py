@@ -50,7 +50,7 @@ from .entanglement import (
     state_tangle_report,
     verify_strength_tangle,
 )
-from .errors import ParseError, VsmError
+from .errors import DimensionError, ParseError, VsmError
 from .meter import MeterSpec, kfold_meter, parse_angle
 from .pauli import ObservableSet
 from .protocol import (
@@ -247,8 +247,15 @@ def _load_state(text: str) -> Ket:
     return Ket.from_json(data)
 
 
-def _model_from_args(args) -> MeasurementModel:
+def _model_from_args(args, system: Ket | None = None) -> MeasurementModel:
+    """The model of ``--obs``, ``--theta`` and ``--order``.
+
+    A ``system`` state is checked against the set's site count first, so a
+    wrong one is refused before the model forms the 2^K subset products.
+    """
     obs = ObservableSet.from_string(args.obs)
+    if system is not None and system.n != obs.n_sites:
+        raise DimensionError(f"system has {system.n} qubits, model needs {obs.n_sites}")
     order: tuple[int, ...] = ()
     if getattr(args, "order", None):
         try:
@@ -332,8 +339,8 @@ def _cmd_povm(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    model = _model_from_args(args)
     state = _load_state(args.state)
+    model = _model_from_args(args, state)
     dist = outcome_distribution(model, state)
     if args.format == "json":
         artifact = {
@@ -354,8 +361,8 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = _model_from_args(args)
     state = _load_state(args.state)
+    model = _model_from_args(args, state)
     if args.samples == 1:
         record = sample(model, state, args.seed)
         artifact = {

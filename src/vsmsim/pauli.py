@@ -194,20 +194,35 @@ def _multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     return xa ^ xb, za ^ zb, (ea + eb + 2 * (za & xb).bit_count()) % 4
 
 
+# ``_walsh_hadamard`` takes its rows in blocks of about this many bytes.
+_BUTTERFLY_BLOCK_BYTES = 1 << 18
+
+
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """h[..., j] = sum_t (-1)**popcount(j & t) values[..., t] over the last axis.
 
-    The last axis holds 2**k entries; the transform runs as k butterflies,
-    most significant bit first, so no 2**k x 2**k matrix is formed.
+    The last axis holds 2**k entries; the transform runs as k butterflies
+    (a, b) -> (a + b, a - b), most significant bit first, so no 2**k x 2**k
+    matrix is formed.  They run in place on one copy of ``values``, a block
+    of rows at a time, so that all k levels of a block stay in cache; rows
+    do not mix, so the block size does not change a single bit.
     """
-    lead = values.ndim - 1
-    k = values.shape[-1].bit_length() - 1
-    out = values.reshape(values.shape[:-1] + (2,) * k)
-    for ax in range(lead, lead + k):
-        a = np.take(out, 0, axis=ax)
-        b = np.take(out, 1, axis=ax)
-        out = np.stack((a + b, a - b), axis=ax)
-    return out.reshape(values.shape)
+    width = values.shape[-1]
+    k = width.bit_length() - 1
+    out = np.array(values, order="C")
+    rows = out.reshape(-1, width)
+    step = max(1, _BUTTERFLY_BLOCK_BYTES // (width * out.itemsize))
+    held = np.empty(step * width // 2, dtype=out.dtype)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        for bit in reversed(range(k)):
+            pairs = block.reshape(block.shape[0], -1, 2, 1 << bit)
+            a, b = pairs[:, :, 0], pairs[:, :, 1]
+            a_old = held[: a.size].reshape(a.shape)
+            np.copyto(a_old, a)
+            a += b
+            np.subtract(a_old, b, out=b)
+    return out
 
 
 def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:

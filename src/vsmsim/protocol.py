@@ -9,6 +9,16 @@ round-major: entry (k-1)*N + n - 1 belongs to round k, site n.  The
 product of round k's N signs is that round's combined sign s_k, and the
 sign vector (s_1, ..., s_K) is the measurement outcome.
 
+``couple`` simulates the circuit on the dense N(K+1)-qubit register: it
+is built once, as the Kronecker product of system and meter, and each
+controlled letter rewrites the register's control=1 half in place (X
+swaps the target's two slices, Z negates one, Y swaps them and
+multiplies by -i and i).  The X readout of all meter qubits is a
+Walsh-Hadamard transform over the meter index (``pauli._walsh_hadamard``),
+whose column j, scaled by 2**(-NK/2), is the unnormalized conditional
+system state of record index j.  ``sample`` and ``sample_signs`` draw
+record indices from those columns.
+
 Records sharing a sign vector induce the same conditional state, so the
 scheme is described by 2**K Kraus operators, each realized by
 2**(K*(N-1)) records.  ``kraus_bruteforce`` extracts them by simulating
@@ -46,20 +56,13 @@ from .pauli import (
     sign_vectors,
     validate_set,
 )
-from .statevec import Ket, apply_controlled, check_size, tensor
+from .statevec import Ket, check_size
 
 # Every random draw in the package uses this generator family.
 RNG_ALGORITHM = "numpy-pcg64"
 
 # Records mapping to one sign vector must agree to this absolute tolerance.
 RECORD_AGREEMENT_ATOL = 1e-10
-
-# The controlled gate of a site, keyed by the site's (X bit, Z bit): X, Z, or Y = iXZ.
-_GATES = {
-    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-    (1, 1): np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-}
 
 
 def sign_string(signs: SignVector) -> str:
@@ -190,18 +193,57 @@ def couple(model: MeasurementModel, system: Ket) -> Ket:
     System qubits come first (sites 1..N), then the meter qubits in
     round-major order.  Meter qubit (k, n) controls the Pauli letter of
     observable k at site n, read off that site's bits of the two masks.
+    The register is built once and every controlled letter is applied to
+    it in place.
     """
     n = model.n_sites
     if system.n != n:
         raise DimensionError(f"system has {system.n} qubits, model needs {n}")
-    state = tensor([system, kfold_meter(model.meter_spec)])
+    qubits = n * (model.size + 1)
+    check_size(qubits, "the coupled register")
+    amps = np.kron(system.amplitudes, kfold_meter(model.meter_spec).amplitudes)
+    register = amps.reshape((2,) * qubits)
     for k in model.coupling_order:
         obs = model.observables.observables[k - 1]
-        for site in range(1, n + 1):
-            control = n + (k - 1) * n + site
-            gate = _GATES[(obs.x_mask >> (n - site)) & 1, (obs.z_mask >> (n - site)) & 1]
-            state = apply_controlled(gate, control, site, state)
-    return state
+        for site in range(n):
+            bit = n - 1 - site
+            _controlled_letter(
+                register, n * k + site, site, (obs.x_mask >> bit) & 1, (obs.z_mask >> bit) & 1
+            )
+    return Ket(amps, require_normalized=False)
+
+
+def _controlled_letter(register: np.ndarray, control: int, target: int, x: int, z: int) -> None:
+    """Apply X**x Z**z (Y = iXZ when both) to axis ``target`` where axis ``control`` is 1.
+
+    ``register`` is a writable ``(2,)*n`` view, written in place; the axes
+    are 0-based and distinct.  Length-1 slices keep both halves views
+    even when the register has only these two axes.  The halves are
+    rewritten as a dense 2x2 matrix product would write them: exactly for
+    every nonzero part, with ``+ 0.0`` (and ``0.0 - x`` for a negation)
+    making every zero part +0.
+    """
+    picker = [slice(None)] * register.ndim
+    picker[control] = slice(1, 2)
+    picker[target] = slice(0, 1)
+    lo = register[tuple(picker)]
+    picker[target] = slice(1, 2)
+    hi = register[tuple(picker)]
+    if not x:
+        # Z = diag(1, -1).
+        np.add(lo, 0.0, out=lo)
+        np.subtract(0.0, hi, out=hi)
+        return
+    held = lo + 0.0
+    if z:
+        # Y = [[0, -i], [i, 0]].
+        np.multiply(hi, -1j, out=lo)
+        lo += 0.0
+        np.multiply(held, 1j, out=hi)
+        hi += 0.0
+    else:
+        np.add(hi, 0.0, out=lo)
+        hi[...] = held
 
 
 def _sign_index(records: np.ndarray, rounds: int, n_sites: int) -> np.ndarray:
@@ -222,8 +264,9 @@ def _branches(model: MeasurementModel, system: Ket) -> np.ndarray:
     """Unnormalized conditional system states, one column per record index."""
     m = model.size * model.n_sites
     coupled = couple(model, system)
-    block = coupled.amplitudes.reshape(1 << model.n_sites, 1 << m)
-    return _walsh_hadamard(block) / math.sqrt(2.0) ** m
+    records = _walsh_hadamard(coupled.amplitudes.reshape(1 << model.n_sites, 1 << m))
+    records /= math.sqrt(2.0) ** m
+    return records
 
 
 def kraus_bruteforce(model: MeasurementModel) -> KrausSet:

@@ -1,4 +1,4 @@
-"""Dense state vectors and the few primitives the measurement scheme needs.
+"""Dense state vectors and the size cap on every dense object.
 
 Conventions
 -----------
@@ -10,14 +10,15 @@ sits at index 2.
 
 Normalization is explicit, never silent: the ``Ket`` constructor rejects
 unnormalized input unless told otherwise, and ``Ket.normalized`` is the
-one place where rescaling happens.
+one place where rescaling happens.  The gates that act on these vectors
+are the coupling circuit's, and live in ``protocol``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -173,44 +174,3 @@ class Ket:
 
     def __repr__(self) -> str:
         return f"Ket(n={self.n})"
-
-
-def tensor(parts: Sequence[Ket]) -> Ket:
-    """Tensor product of kets, first factor owning the most significant bits."""
-    if len(parts) == 0:
-        raise DomainError("tensor needs at least one factor")
-    check_size(sum(p.n for p in parts), "the tensor product")
-    amps = parts[0].amplitudes
-    for part in parts[1:]:
-        amps = np.kron(amps, part.amplitudes)
-    # Factors are unit norm already; skip the gate to avoid tolerance stacking.
-    return Ket(amps, require_normalized=False)
-
-
-def apply_controlled(gate: np.ndarray, control: int, target: int, state: Ket) -> Ket:
-    """Apply a controlled single-qubit gate; norm is preserved, not rescaled.
-
-    ``gate`` is the 2x2 unitary applied to ``target`` when ``control``
-    (both 1-based) is in ``|1>``.
-    """
-    n = state.n
-    if not (1 <= control <= n and 1 <= target <= n):
-        raise DimensionError(f"control={control}, target={target} out of range for n={n}")
-    if control == target:
-        raise DimensionError("control and target must be distinct qubits")
-    u = np.asarray(gate, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise DimensionError(f"controlled gate must be 2x2, got {u.shape}")
-    amps = state.amplitudes.reshape((2,) * n)
-    c_ax = control - 1
-    t_ax = target - 1
-    picker: list = [slice(None)] * n
-    picker[c_ax] = 1
-    sub = amps[tuple(picker)]
-    # Dropping the control axis shifts later axes left by one.
-    t_sub = t_ax - 1 if t_ax > c_ax else t_ax
-    rotated = np.tensordot(u, sub, axes=([1], [t_sub]))
-    rotated = np.moveaxis(rotated, 0, t_sub)
-    out = amps.copy()
-    out[tuple(picker)] = rotated
-    return Ket(out.reshape(-1), require_normalized=False)

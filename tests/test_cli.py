@@ -206,11 +206,13 @@ class TestPovm:
     @pytest.mark.parametrize("command", ["povm", "distribution"])
     def test_subset_products_over_qubit_cap(self, capsys, monkeypatch, command):
         # The set is refused while validated, before its 2^4 subset products exist.
+        # distribution first compares the set with its 2-qubit state, so its set has 2 sites.
         monkeypatch.setenv("VSM_MAX_QUBITS", "3")
-        state = ["--state", GHZ2_JSON] if command == "distribution" else []
-        code, out, err = run(
-            capsys, command, "--obs", "ZXXX,XZXX,XXZX,XXXZ", "--theta", "0.3", *state
-        )
+        obs, state = {
+            "povm": ("ZXXX,XZXX,XXZX,XXXZ", []),
+            "distribution": ("XX,ZZ,YY,XX", ["--state", GHZ2_JSON]),
+        }[command]
+        code, out, err = run(capsys, command, "--obs", obs, "--theta", "0.3", *state)
         assert (code, out) == (1, "")
         assert "the 2^K subset products needs 2^4 entries, above the limit of 3" in err
 
@@ -254,14 +256,20 @@ class TestDistribution:
         ],
         ids=["distribution", "sample", "sample-counts"],
     )
-    def test_wrong_qubit_count(self, capsys, command):
-        # The library refuses the state before it allocates anything.
+    def test_wrong_qubit_count(self, capsys, monkeypatch, command):
+        # The state is compared with the parsed set before the set's 2^K products are formed.
+        calls = []
+        validate = protocol.validate_set
+        monkeypatch.setattr(protocol, "validate_set", lambda obs: calls.append(obs) or validate(obs))
         code, out, err = run(
             capsys, *command, "--obs", "XYZ", "--theta", "0.2", "--state", GHZ2_JSON
         )
-        assert code == 1
-        assert out == ""
+        assert (code, out, calls) == (1, "", [])
         assert "vsmsim: error: system has 2 qubits, model needs 3" in err
+        # The spy does see the validation of a set that fits the state.
+        code, _, _ = run(capsys, *command, "--obs", "XX,ZZ", "--theta", "0.2", "--state", GHZ2_JSON)
+        assert code == 0
+        assert [str(obs) for obs in calls] == ["XX,ZZ"]
 
 
 class TestSample:

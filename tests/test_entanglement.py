@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuit_oracle import tensor
+
 from vsmsim.entanglement import (
     CONTRACTION_MAX_QUBITS,
     TangleReport,
@@ -29,7 +31,7 @@ from vsmsim.entanglement import (
 )
 from vsmsim.errors import DomainError, ResourceLimitError
 from vsmsim.meter import MeterSpec, kfold_meter, pattern_amplitudes
-from vsmsim.statevec import Ket, tensor
+from vsmsim.statevec import Ket
 
 EPS = ((0, 1), (-1, 0))
 

@@ -5,18 +5,23 @@ independent of ``vsmsim.pauli``: a candidate word is kept when it
 commutes with the members so far and its (x, z) vector lies outside the
 GF(2) span of theirs.  The closed-form outcome distribution is checked
 against the literal-circuit Kraus oracle, and the accept/raise decision
-of ``validate_set`` against the dense oracle of ``pauli_oracle``.
+of ``validate_set`` against the dense oracle of ``pauli_oracle``.  The
+in-place coupling circuit and X readout are checked bit for bit against
+``circuit_oracle``, and the readout against a dense Hadamard matrix.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circuit_oracle
 import pauli_oracle as oracle
 
+from vsmsim import pauli, protocol
 from vsmsim.errors import CommutationError, DependenceError
 from vsmsim.pauli import ObservableSet, validate_set
 from vsmsim.protocol import MeasurementModel, kraus_bruteforce, outcome_distribution
@@ -131,3 +136,80 @@ def test_distribution_matches_bruteforce(words, theta, seed):
         branch = op @ ket.amplitudes
         expected = kraus.multiplicity * float(np.vdot(branch, branch).real)
         assert dist[signs] == pytest.approx(expected, abs=1e-10)
+
+
+@st.composite
+def circuit_inputs(draw):
+    """A model with N <= 4, K <= 3 and a drawn coupling order, and a system state.
+
+    The state is either Gaussian or has parts drawn from {0, -0, 1, -1}, so
+    that the signs of zero parts reach the circuit.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(n, 3)))
+    words = random_commuting_set(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+    order = draw(st.permutations(range(1, k + 1)))
+    theta = draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(0.0, math.pi / 2))
+    model = MeasurementModel(ObservableSet.from_string(",".join(words)), theta, tuple(order))
+    dim = 1 << n
+    amps = np.zeros(dim, dtype=np.complex128)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        amps.real, amps.imag = rng.normal(size=(2, dim))
+    else:
+        parts = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        amps.real = draw(st.lists(parts, min_size=dim, max_size=dim))
+        amps.imag = draw(st.lists(parts, min_size=dim, max_size=dim))
+        if not np.any(amps):
+            amps[draw(st.integers(0, dim - 1))] = 1.0
+    return model, Ket.normalized(amps)
+
+
+def assert_same_bits(actual, expected):
+    """Equal to the last bit, signed zeros included."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(inputs=circuit_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_circuit_matches_oracle_bit_for_bit(inputs, seed):
+    model, ket = inputs
+    assert_same_bits(protocol.couple(model, ket).amplitudes,
+                     circuit_oracle.couple(model, ket).amplitudes)
+    assert_same_bits(protocol._branches(model, ket), circuit_oracle.branches(model, ket))
+    record = protocol.sample(model, ket, seed)
+    counts = protocol.sample_signs(model, ket, 300, seed)
+    # The sampler itself did not change: fed the oracle's branches, it gives the old records.
+    with mock.patch.object(protocol, "_branches", circuit_oracle.branches):
+        expected = protocol.sample(model, ket, seed)
+        assert counts == protocol.sample_signs(model, ket, 300, seed)
+    assert (record.raw, record.signs) == (expected.raw, expected.signs)
+    assert_same_bits(record.probability, expected.probability)
+    assert_same_bits(record.post_state.amplitudes, expected.post_state.amplitudes)
+
+
+@st.composite
+def butterfly_inputs(draw):
+    """Complex rows of 1 or 2 columns, or of up to 64 columns in more rows than one block."""
+    kind = draw(st.sampled_from(["rows", "one column", "two columns"]))
+    if kind == "rows":
+        width = 1 << draw(st.integers(0, 6))
+        per_block = pauli._BUTTERFLY_BLOCK_BYTES // (16 * width)
+        rows = per_block + draw(st.integers(1, per_block))
+    else:
+        width = 1 if kind == "one column" else 2
+        rows = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(values=butterfly_inputs())
+def test_walsh_hadamard_matches_dense_matrix(values):
+    width = values.shape[1]
+    signs = np.array([[(-1.0) ** (j & t).bit_count() for j in range(width)] for t in range(width)])
+    out = pauli._walsh_hadamard(values)
+    np.testing.assert_allclose(out, values @ signs, rtol=0, atol=1e-12 * width)
+    assert_same_bits(out, circuit_oracle.walsh_hadamard(values))

@@ -179,6 +179,23 @@ class TestCouple:
         with pytest.raises(DimensionError):
             couple(model("XX", 0.1), Ket.basis(3, 0))
 
+    def test_qubit_cap_checked_before_allocating(self, monkeypatch):
+        # XX,ZZ on 2 sites couples 2 system and 4 meter qubits.
+        m, psi = model("XX,ZZ", 0.3), Ket.basis(2, 1)
+        fits = couple(m, psi).amplitudes
+
+        def refused(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setenv("VSM_MAX_QUBITS", "6")
+        np.testing.assert_array_equal(couple(m, psi).amplitudes, fits)
+        monkeypatch.setenv("VSM_MAX_QUBITS", "5")
+        monkeypatch.setattr(protocol, "kfold_meter", refused)
+        monkeypatch.setattr(protocol.np, "kron", refused)
+        for run in (lambda: couple(m, psi), lambda: sample(m, psi, 1)):
+            with pytest.raises(ResourceLimitError, match=r"coupled register needs 2\^6 .* limit of 5"):
+                run()
+
 
 class TestKrausBruteforce:
     def test_two_distinct_operators_for_zz(self):

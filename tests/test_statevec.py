@@ -1,8 +1,9 @@
-"""Tests for the dense state-vector primitives.
+"""Tests for the dense state vectors and the controlled letters of the coupling circuit.
 
-Controlled gates and tensor products are checked against independent
-dense-matrix oracles built index-by-index in this file, never against
-the implementation's own plumbing.
+The in-place kernel of ``protocol.couple`` and the ``tensor`` and
+``apply_controlled`` of ``circuit_oracle`` are checked against dense
+controlled-gate matrices built index-by-index in this file, never
+against the implementation's own plumbing.
 """
 
 import json
@@ -11,12 +12,32 @@ import math
 import numpy as np
 import pytest
 
+from circuit_oracle import apply_controlled, tensor
+
+from vsmsim import protocol
 from vsmsim.errors import DimensionError, DomainError, ParseError, ResourceLimitError
-from vsmsim.statevec import Ket, apply_controlled, max_qubits, tensor
+from vsmsim.statevec import Ket, max_qubits
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+# Each letter's (X bit, Z bit), as ``protocol`` reads them off the masks.
+LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+MATRICES = {"X": X, "Y": Y, "Z": Z}
+
+
+def kernel(letter, control, target, state):
+    """Amplitudes after ``protocol``'s in-place controlled letter (1-based qubits)."""
+    amps = np.array(state.amplitudes)
+    register = amps.reshape((2,) * state.n)
+    protocol._controlled_letter(register, control - 1, target - 1, *LETTER_BITS[letter])
+    return amps
+
+
+def oracle(letter, control, target, state):
+    return apply_controlled(MATRICES[letter], control, target, state).amplitudes
 
 
 def random_ket(rng, n):
@@ -201,33 +222,36 @@ class TestTensor:
 
 
 class TestApplyControlled:
+    """The in-place kernel and the oracle's ``apply_controlled``, side by side."""
+
     def test_cnot_flips_target(self):
-        state = apply_controlled(X, 1, 2, Ket.basis(2, 2))
-        np.testing.assert_allclose(state.amplitudes, Ket.basis(2, 3).amplitudes)
+        for apply in (kernel, oracle):
+            amps = apply("X", 1, 2, Ket.basis(2, 2))
+            np.testing.assert_allclose(amps, Ket.basis(2, 3).amplitudes)
 
     def test_cz_phases_one_one(self):
-        state = apply_controlled(Z, 1, 2, Ket.basis(2, 3))
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 0, -1])
+        for apply in (kernel, oracle):
+            np.testing.assert_allclose(apply("Z", 1, 2, Ket.basis(2, 3)), [0, 0, 0, -1])
 
     def test_cy_control_above_target(self):
         start = Ket.normalized([1.0, 1.0, 0.0, 0.0])  # (|00> + |01>)/sqrt(2)
-        state = apply_controlled(Y, 2, 1, start)
         expected = np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        for apply in (kernel, oracle):
+            np.testing.assert_allclose(apply("Y", 2, 1, start), expected, atol=1e-15)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(23)
-        for _ in range(30):
+        for _ in range(60):
             n = int(rng.integers(2, 6))
             control = int(rng.integers(1, n + 1))
             target = int(rng.integers(1, n + 1))
             if target == control:
                 target = control % n + 1
-            u = (X, Y, Z)[int(rng.integers(0, 3))]
+            letter = "XYZ"[int(rng.integers(0, 3))]
             state = random_ket(rng, n)
-            fast = apply_controlled(u, control, target, state)
-            dense = controlled_matrix(u, control, target, n) @ state.amplitudes
-            np.testing.assert_allclose(fast.amplitudes, dense, atol=1e-12)
+            dense = controlled_matrix(MATRICES[letter], control, target, n) @ state.amplitudes
+            for apply in (kernel, oracle):
+                np.testing.assert_allclose(apply(letter, control, target, state), dense, atol=1e-12)
 
     def test_norm_preserved_up_to_ten_qubits(self):
         rng = np.random.default_rng(31)
@@ -236,14 +260,15 @@ class TestApplyControlled:
             for _ in range(5):
                 c = int(rng.integers(1, n + 1))
                 t = c % n + 1
-                state = apply_controlled(Y, c, t, state)
+                state = Ket(kernel("Y", c, t, state), require_normalized=False)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_double_application_is_identity(self):
         rng = np.random.default_rng(37)
         state = random_ket(rng, 3)
-        twice = apply_controlled(X, 3, 1, apply_controlled(X, 3, 1, state))
-        np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-13)
+        for letter in "XYZ":
+            once = Ket(kernel(letter, 3, 1, state), require_normalized=False)
+            np.testing.assert_array_equal(kernel(letter, 3, 1, once), state.amplitudes)
 
     def test_control_equals_target_rejected(self):
         with pytest.raises(DimensionError):
