@@ -5,7 +5,7 @@ N-qubit Pauli product observables are measured jointly, and with tunable
 strength, by coupling the system to a single entangled meter register of
 N*K qubits prepared in a GHZ-like state.  It provides:
 
-- ``pauli``: product observables, commutation tests, joint eigenprojectors
+- ``pauli``: product observables, commutation tests, weighted operator scatters
 - ``statevec``: dense state vectors and the size cap on dense objects
 - ``meter``: GHZ-like meter states and the strength/angle dictionary
 - ``protocol``: coupling circuit, outcome combination, Kraus/POVM extraction

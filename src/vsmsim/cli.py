@@ -52,7 +52,7 @@ from .entanglement import (
 )
 from .errors import DimensionError, ParseError, VsmError
 from .meter import MeterSpec, kfold_meter, parse_angle
-from .pauli import ObservableSet
+from .pauli import ObservableSet, sign_vectors
 from .protocol import (
     RNG_ALGORITHM,
     MeasurementModel,
@@ -304,12 +304,7 @@ def _cmd_meter(args) -> int:
 
 def _cmd_povm(args) -> int:
     model = _model_from_args(args)
-    # One projector stack serves the Kraus set and the barycentric coordinates;
-    # without the latter it is freed before the effects are multiplied out.
-    pvm = model.pvm()
-    kraus = kraus_closed_form(model, pvm)
-    if not args.barycentric:
-        pvm = None
+    kraus = kraus_closed_form(model)
     effects = kraus.povm().effects
     artifact = {
         "meta": _meta(),
@@ -323,19 +318,25 @@ def _cmd_povm(args) -> int:
     if args.kraus:
         artifact["kraus"] = effects_to_json(kraus.operators)
     if args.barycentric:
-        coords = {}
-        for signs, effect in effects.items():
-            coords[sign_string(signs)] = [
-                float(np.real(np.trace(effect @ proj))) / pvm.rank
-                for proj in pvm.projectors.values()
-            ]
-        artifact["barycentric"] = coords
+        artifact["barycentric"] = _barycentric(model)
     summary = (
         f"povm obs={model.observables} theta={_fmt(model.theta)} "
         f"strength={_fmt(model.strength)} vsm_compliant={_bool(model.vsm_compliant)}"
     )
     _emit(args, _json_payload(artifact), summary)
     return 0
+
+
+def _barycentric(model: MeasurementModel) -> dict[str, list[float]]:
+    """Coordinates tr(E_s P_t)/rank of each effect in the joint-projector basis.
+
+    E_s = cos(theta)**2 P_s + sin(theta)**2/(2**K-1) (I - P_s), so row s
+    is cos(theta)**2 at t = s and sin(theta)**2/(2**K-1) elsewhere.
+    """
+    on = math.cos(model.theta) ** 2
+    off = math.sin(model.theta) ** 2 / ((1 << model.size) - 1)
+    signs = sign_vectors(model.size)
+    return {sign_string(s): [on if s == t else off for t in signs] for s in signs}
 
 
 def _cmd_distribution(args) -> int:

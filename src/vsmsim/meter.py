@@ -124,5 +124,9 @@ def strength(rounds: int, theta: float) -> float:
     """Measurement strength of a K-round meter at angle theta."""
     if rounds < 1:
         raise DomainError(f"rounds must be at least 1, got {rounds}")
-    d = 1 << rounds
+    return _strength(1 << rounds, theta)
+
+
+def _strength(d: int, theta: float) -> float:
+    """(d cos(theta)**2 - 1)/(d - 1): the strength of a d-outcome meter, d = 2**K here."""
     return (d * math.cos(theta) ** 2 - 1.0) / (d - 1.0)

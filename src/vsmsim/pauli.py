@@ -1,4 +1,4 @@
-"""Pauli product observables as bitmasks, commutation, and joint eigenprojectors.
+"""Pauli product observables as bitmasks, commutation, and their weighted sums.
 
 A product observable is a tensor product of X, Y, Z letters with one
 letter per site; identity letters are deliberately excluded, so every
@@ -12,8 +12,8 @@ Y = iXZ at every site it equals
 
 a signed permutation matrix: column b holds i**y_count
 (-1)**popcount(z_mask & b) in row b ^ x_mask.  No observable keeps a
-dense matrix; ``build_pvm`` is the one place that scatters these
-columns into dense arrays.  Two products commute exactly when
+dense matrix; ``scatter`` is the one place that scatters these columns
+into dense arrays.  Two products commute exactly when
 popcount(xa & zb) + popcount(za & xb) is even (Aaronson & Gottesman,
 PRA 70, 052328 (2004)).
 
@@ -28,16 +28,18 @@ eigenspace of sign vector s is
     P_s = prod_k (I + s_k O_k)/2 = 2**-K sum_T chi_s(T) O_T,
 
 summed over the 2**K subsets T of the members, where chi_s(T) is the
-product of the signs in T.  Only O_T = +-I has a trace, so
+product of the signs in T (``characters``).  Only O_T = +-I has a
+trace, so
 
     rank(P_s) = 2**(N-K) sum_{T: O_T = +-I} chi_s(T) (+-1),
 
 which is 2**(N-K) for every s exactly when the empty subset alone gives
 +-I.  That is why the criterion above holds exactly when all joint
-eigenspaces have the same dimension.  ``build_pvm`` builds each dense
-P_s once, by scattering the signed permutations O_T that
-``validate_set`` returned; its caller holds the projectors and passes
-them on (see ``protocol.kraus_closed_form``).
+eigenspaces have the same dimension.  Every operator of the scheme is a
+weighted sum of the O_T, so ``scatter`` builds a whole stack of them
+from one table of weights, one row per operator; the library uses it
+for the Kraus operators (``protocol.kraus_closed_form``) and forms no
+projector.
 
 Sign vectors are plain ``tuple[int, ...]`` with entries +1 or -1, listed
 in the observable order of the set.
@@ -175,18 +177,6 @@ def sign_vectors(k: int) -> list[SignVector]:
     return list(itertools.product((1, -1), repeat=k))
 
 
-@dataclass(frozen=True)
-class Pvm:
-    """Joint projective measurement of a commuting independent set.
-
-    ``projectors`` maps each sign vector to the dense projector onto the
-    corresponding joint eigenspace; every projector has rank ``rank``.
-    """
-
-    projectors: dict[SignVector, np.ndarray]
-    rank: int
-
-
 def _multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Term of the product ab: moving Z**za past X**xb gives (-1)**popcount(za & xb)."""
     xa, za, ea = a
@@ -259,25 +249,32 @@ def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
     return tuple(products)
 
 
-def build_pvm(products: tuple[PauliTerm, ...], n_sites: int) -> Pvm:
-    """Joint eigenprojectors from the subset products that ``validate_set`` returned.
+def characters(k: int) -> np.ndarray:
+    """chi[s, T] = chi_s(T), the product of sign vector s's signs over subset T.
 
-    Each P_s = 2**-K sum_T chi_s(T) O_T is built once: every O_T is a
-    signed permutation, so its 2**N entries are scattered into all 2**K
-    projectors at once.  The entries are multiples of 2**-K, exact in
-    floating point.
+    Rows follow ``sign_vectors`` and columns the subsets of ``validate_set``:
+    bit 1 of s is a -1 sign and bit 1 of T a member, member 1 on the high
+    bit in both, so chi_s(T) = (-1)**popcount(s & T).
     """
-    n, k = n_sites, len(products).bit_length() - 1
-    # The 2**K projectors of 4**N entries each.
-    check_size(2 * n + k, "the joint projector stack")
+    index = np.arange(1 << k, dtype=np.int64)
+    return 1.0 - 2.0 * _parity(np.bitwise_and.outer(index, index))
+
+
+def scatter(products: tuple[PauliTerm, ...], weights: np.ndarray, n_sites: int) -> np.ndarray:
+    """Dense stack out[r] = sum_T weights[r, T] O_T of the subset products.
+
+    ``weights`` has one row per output matrix and one column per product
+    that ``validate_set`` returned.  Every O_T is a signed permutation,
+    so its 2**N entries are scattered into all rows at once.
+    """
+    n, rows = n_sites, len(weights)
+    # ``rows`` matrices of 4**N entries each: 2N + K qubits for 2**K rows.
+    check_size(2 * n + (rows - 1).bit_length(), "the operator stack")
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
-    outcomes = np.arange(1 << k, dtype=np.int64)
-    stack = np.zeros((1 << k, dim, dim), dtype=np.complex128)
+    stack = np.zeros((rows, dim, dim), dtype=np.complex128)
     for t, (x, z, e) in enumerate(products):
-        chi = (1.0 - 2.0 * _parity(outcomes & t)) * 2.0**-k
         # Column b of O_T holds i**e (-1)**popcount(z & b) in row b ^ x.
         column = _I_POWERS[e] * (1.0 - 2.0 * _parity(cols & z))
-        stack[:, cols ^ x, cols] += np.outer(chi, column)
-    stack.setflags(write=False)
-    return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=1 << (n - k))
+        stack[:, cols ^ x, cols] += np.outer(weights[:, t], column)
+    return stack

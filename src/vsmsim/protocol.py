@@ -26,8 +26,10 @@ the full circuit; ``kraus_closed_form`` builds
 
     M_s = 2**(-K(N-1)/2) [cos(theta) P_s + sin(theta)/sqrt(2**K-1) (I - P_s)]
 
-from the joint eigenprojectors P_s that its caller passes in (built by
-``MeasurementModel.pvm``), and the POVM effects are
+without forming the joint eigenprojectors P_s: with
+P_s = 2**-K sum_T chi_s(T) O_T, each M_s is one row of 2**K weights on
+the model's subset products, and ``pauli.scatter`` builds all 2**K
+operators from that table at once.  The POVM effects are
 
     E_s = 2**(K(N-1)) M_s^dag M_s
         = cos(theta)**2 P_s + sin(theta)**2/(2**K-1) (I - P_s).
@@ -44,15 +46,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, DomainError
-from .meter import MeterSpec, kfold_meter
+from .meter import MeterSpec, _strength, kfold_meter
 from .pauli import (
     ObservableSet,
     PauliTerm,
-    Pvm,
     SignVector,
     _parity,
     _walsh_hadamard,
-    build_pvm,
+    characters,
+    scatter,
     sign_vectors,
     validate_set,
 )
@@ -123,10 +125,6 @@ class MeasurementModel:
     def multiplicity(self) -> int:
         """Records per sign vector, 2**(K*(N-1))."""
         return 1 << (self.size * (self.n_sites - 1))
-
-    def pvm(self) -> Pvm:
-        """The joint eigenprojectors, a new dense 2**K * 4**N stack per call."""
-        return build_pvm(self.products, self.n_sites)
 
     def to_json(self) -> dict:
         return {
@@ -305,34 +303,27 @@ def kraus_bruteforce(model: MeasurementModel) -> KrausSet:
     return KrausSet(operators=operators, multiplicity=expected)
 
 
-def kraus_closed_form(model: MeasurementModel, pvm: Pvm) -> KrausSet:
-    """Kraus operators of ``model`` from its joint eigenprojectors ``pvm``, no circuit involved."""
+def kraus_closed_form(model: MeasurementModel) -> KrausSet:
+    """Kraus operators of ``model`` as one weighted scatter of its subset products.
+
+    M_s = scale [(cos(theta) - o) P_s + o I] with o = sin(theta)/sqrt(2**K-1),
+    so its weight on O_T is scale ((cos(theta) - o) 2**-K chi_s(T) + o [T empty]).
+    No projector and no circuit is involved.
+    """
     n, k = model.n_sites, model.size
-    dim = 1 << n
-    if len(pvm.projectors) != 1 << k or any(
-        proj.shape != (dim, dim) for proj in pvm.projectors.values()
-    ):
-        raise DimensionError(
-            f"{len(pvm.projectors)} projectors do not fit a model of K={k} on N={n} sites"
-        )
-    eye = np.eye(dim, dtype=np.complex128)
     scale = 2.0 ** (-k * (n - 1) / 2.0)
-    in_coef = math.cos(model.theta)
     out_coef = math.sin(model.theta) / math.sqrt(2.0**k - 1.0)
-    operators = {
-        signs: scale * (in_coef * proj + out_coef * (eye - proj))
-        for signs, proj in pvm.projectors.items()
-    }
-    return KrausSet(operators=operators, multiplicity=model.multiplicity)
+    weights = (math.cos(model.theta) - out_coef) * 2.0**-k * characters(k)
+    # O_T for the empty subset is I.
+    weights[:, 0] += out_coef
+    weights *= scale
+    stack = scatter(model.products, weights, n)
+    return KrausSet(operators=dict(zip(sign_vectors(k), stack)), multiplicity=model.multiplicity)
 
 
 def povm(model: MeasurementModel) -> Povm:
-    """POVM effects, multiplicity-weighted squares of the Kraus operators.
-
-    The projectors are passed inline, so their stack is freed before the
-    effects are multiplied out.
-    """
-    return kraus_closed_form(model, model.pvm()).povm()
+    """POVM effects, multiplicity-weighted squares of the closed-form Kraus operators."""
+    return kraus_closed_form(model).povm()
 
 
 def outcome_distribution(model: MeasurementModel, system: Ket) -> dict[SignVector, float]:
@@ -412,15 +403,12 @@ def qudit_vsm(d: int, theta: float) -> QuditVsm:
     # d Kraus operators and d effects of d**2 entries each.
     check_size((2 * d**3 - 1).bit_length(), "the qudit operator stack")
     phi = _qudit_meter(d, theta)
-    kraus = []
-    effects = []
-    for j in range(d):
-        diag = np.array([phi[(j - i) % d] for i in range(d)], dtype=np.complex128)
-        k_j = np.diag(diag)
-        kraus.append(k_j)
-        effects.append(k_j.conj().T @ k_j)
-    s = (d * math.cos(theta) ** 2 - 1.0) / (d - 1.0)
-    return QuditVsm(d=d, theta=theta, kraus=tuple(kraus), effects=tuple(effects), strength=s)
+    index = np.arange(d)
+    # Row j holds K_j's diagonal phi_((j-i) mod d), and its square E_j's.
+    diagonals = phi[(index[:, None] - index[None, :]) % d]
+    kraus = tuple(np.diag(row.astype(np.complex128)) for row in diagonals)
+    effects = tuple(np.diag((row * row).astype(np.complex128)) for row in diagonals)
+    return QuditVsm(d=d, theta=theta, kraus=kraus, effects=effects, strength=_strength(d, theta))
 
 
 def _qudit_meter(d: int, theta: float) -> np.ndarray:

@@ -1,6 +1,43 @@
-"""Joint eigenprojectors of an observable set, as the library's callers build them."""
+"""Joint eigenprojectors of an observable set, for the tests only.
 
-from vsmsim.pauli import ObservableSet, Pvm, build_pvm, validate_set
+The library forms no projector stack; the tests build the projectors
+P_s = 2**-K sum_T chi_s(T) O_T with the library's one dense kernel,
+``pauli.scatter``, and check them against the matmul chain of
+``pauli_oracle``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from vsmsim.pauli import (
+    ObservableSet,
+    PauliTerm,
+    SignVector,
+    characters,
+    scatter,
+    sign_vectors,
+    validate_set,
+)
+
+
+@dataclass(frozen=True)
+class Pvm:
+    """Dense projector of each sign vector; every projector has rank ``rank``."""
+
+    projectors: dict[SignVector, np.ndarray]
+    rank: int
+
+
+def build_pvm(products: tuple[PauliTerm, ...], n_sites: int) -> Pvm:
+    """Projectors from the subset products that ``validate_set`` returned.
+
+    The weights chi_s(T) 2**-K are exact, so every entry is a multiple of
+    2**-K, exact in floating point.
+    """
+    k = len(products).bit_length() - 1
+    stack = scatter(products, characters(k) * 2.0**-k, n_sites)
+    return Pvm(projectors=dict(zip(sign_vectors(k), stack)), rank=1 << (n_sites - k))
 
 
 def pvm_of(obs_set: ObservableSet) -> Pvm:

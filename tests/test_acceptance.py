@@ -98,7 +98,7 @@ def test_criterion_1_closed_form_matches_bruteforce(capsys):
             eye = np.eye(1 << n_sites)
             for model in models_on_grid(obs):
                 brute = kraus_bruteforce(model)
-                closed = kraus_closed_form(model, pvm)
+                closed = kraus_closed_form(model)
                 assert closed.multiplicity == brute.multiplicity
                 for signs, mat in closed.operators.items():
                     gap = np.max(np.abs(mat - brute.operators[signs]))
@@ -121,7 +121,7 @@ def test_criterion_2_completeness_positivity_minimal_disturbance(capsys):
                 effects = povm(model)
                 assert effects.completeness_residual() < 1e-10
                 assert min(np.linalg.eigvalsh(e).min() for e in effects.effects.values()) >= -1e-10
-                kraus = kraus_closed_form(model, model.pvm())
+                kraus = kraus_closed_form(model)
                 scale = math.sqrt(model.multiplicity)
                 for signs, effect in effects.effects.items():
                     gap = np.max(

@@ -9,7 +9,6 @@ import json
 import math
 import random
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -146,50 +145,28 @@ class TestPovm:
                 )
                 assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_builds_kraus_set_and_projectors_once(self, capsys, monkeypatch):
-        calls = {"build_pvm": 0, "kraus_closed_form": 0}
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--kraus"], ["--barycentric"], ["--kraus", "--barycentric"]],
+        ids=["plain", "kraus", "barycentric", "kraus-barycentric"],
+    )
+    def test_povm_scatters_once(self, capsys, monkeypatch, flags):
+        # The one dense kernel runs once, and what it builds is the Kraus set, not projectors.
+        stacks = []
+        real_scatter = protocol.scatter
 
-        def spy(module, name):
-            real = getattr(module, name)
+        def spied(*args, **kwargs):
+            stacks.append(real_scatter(*args, **kwargs))
+            return stacks[-1]
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        spy(protocol, "build_pvm")
-        spy(cli, "kraus_closed_form")
-        code, out, _ = run(
-            capsys, "povm", "--obs", "XYZ,ZZZ", "--theta", "0.3", "--kraus", "--barycentric"
-        )
+        monkeypatch.setattr(protocol, "scatter", spied)
+        code, out, _ = run(capsys, "povm", "--obs", "XYZ,ZZZ", "--theta", "0.3", *flags)
         assert code == 0
-        assert {"effects", "kraus", "barycentric"} <= set(json.loads(out))
-        assert calls == {"build_pvm": 1, "kraus_closed_form": 1}
-
-    @pytest.mark.parametrize("barycentric", [False, True])
-    def test_projectors_freed_before_effects(self, capsys, monkeypatch, barycentric):
-        # Only --barycentric reads the projectors after the Kraus set is built.
-        pvms = []
-        alive_at_effects = []
-        real_pvm = MeasurementModel.pvm
-        real_povm = protocol.KrausSet.povm
-
-        def tracked_pvm(model):
-            pvm = real_pvm(model)
-            pvms.append(weakref.ref(pvm))
-            return pvm
-
-        def checked_povm(kraus):
-            alive_at_effects.append(pvms[0]() is not None)
-            return real_povm(kraus)
-
-        monkeypatch.setattr(MeasurementModel, "pvm", tracked_pvm)
-        monkeypatch.setattr(protocol.KrausSet, "povm", checked_povm)
-        argv = ["povm", "--obs", "XX,ZZ", "--theta", "0.3"]
-        code, _, _ = run(capsys, *argv, *(["--barycentric"] if barycentric else []))
-        assert code == 0
-        assert alive_at_effects == [barycentric]
+        assert {"kraus", "barycentric"} & set(json.loads(out)) == {f[2:] for f in flags}
+        assert len(stacks) == 1
+        model = MeasurementModel(ObservableSet.from_string("XYZ,ZZZ"), 0.3)
+        brute = protocol.kraus_bruteforce(model).operators.values()
+        np.testing.assert_allclose(stacks[0], list(brute), rtol=0, atol=1e-12)
 
     def test_noncommuting_rejected(self, capsys):
         code, _, err = run(capsys, "povm", "--obs", "XX,ZX", "--theta", "0.3")

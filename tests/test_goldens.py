@@ -23,7 +23,7 @@ GOLDENS = [
     ("meter --K 2 --N 3 --theta 0",
      "1f35b8fd9ee40aee930c5c18164cb64b7ce8759c64f34c0031190445a277bdb0"),
     ("povm --obs XX,ZZ --theta 30deg --kraus --barycentric",
-     "93e48a0d77319cb328fcd08972c105a309fc4afb58841a41989d1ec494d85425"),
+     "befa95b94449df53842c00d5b20185a9d9d09ec5f0b1a3e31ff5e2694c79617d"),
     ("distribution --obs XX,ZZ --theta 0.5 --state {bell}",
      "3153f44809101f479e8e8527c658e34dd02b0c2d87197b4400f86c7875d32305"),
     ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7 --samples 1000",
@@ -37,11 +37,11 @@ GOLDENS = [
     ("qudit --d 4 --theta 0.5236",
      "8f3f9cd4a93f56ae35de55158049673752a5418c21ee4eafe1be7d7d9dfa4f0d"),
     ("povm --obs XXXXXXXX,ZZZZZZZZ --theta 0.4",
-     "daf3e62500ee469d0749137bffde211e53fe748e2247e4099328aaffde5e084c"),
+     "492e4814ae9f018782271b697faef9b50f9ee6feb021ff832115a4fbf5022ca5"),
     ("meter --K 3 --N 6 --theta 0.4",
      "5ad5c1406731c8ab77aa9aaad6ef6c3072ebaf000b4c96702a605ab1742937c0"),
     ("povm --obs XYZ,ZZZ --theta 0.3 --kraus --barycentric",
-     "03fce7df93c3b42503232a315a8f01d66db12bf448cd19d16ed151200d533fce"),
+     "6ad8ee21c0a24483accd52cb76c30ff314aa30e68edcee1ca411f9aa0476b634"),
     ("sweep --K 2 --N 10 --grid 0:90deg:5 --format json",
      "7f29fd40972a5f40273a62be71fd633d815c1c595bc05fa5eb09e7224ceb0de8"),
     ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7",

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pauli_oracle as oracle
-from projectors import pvm_of
+from projectors import build_pvm, pvm_of
 
 from vsmsim import pauli
 from vsmsim.errors import (
@@ -29,7 +29,6 @@ from vsmsim.errors import (
 from vsmsim.pauli import (
     ObservableSet,
     ProductObservable,
-    build_pvm,
     commutes,
     sign_vectors,
     validate_set,
@@ -378,7 +377,7 @@ def random_oracle_case(rng):
 
 
 class TestMaskCoreAgainstOracle:
-    """validate_set and build_pvm against the dense matmul-chain oracle."""
+    """validate_set and the scattered projectors against the dense matmul-chain oracle."""
 
     def check(self, words):
         group = ObservableSet.from_string(",".join(words))

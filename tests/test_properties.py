@@ -6,11 +6,17 @@ commutes with the members so far and its (x, z) vector lies outside the
 GF(2) span of theirs.  The closed-form outcome distribution is checked
 against the literal-circuit Kraus oracle, and the accept/raise decision
 of ``validate_set`` against the dense oracle of ``pauli_oracle``.  The
+closed-form Kraus operators and effects are checked against the qudit
+meter acting on the oracle's projectors and against the meter's block
+patterns acting on the dense subset products, and the ``--barycentric``
+table against dense traces.  The
 in-place coupling circuit and X readout are checked bit for bit against
 ``circuit_oracle``, and the readout against a dense Hadamard matrix.
 """
 
+import itertools
 import math
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -21,10 +27,17 @@ from hypothesis import strategies as st
 import circuit_oracle
 import pauli_oracle as oracle
 
-from vsmsim import pauli, protocol
+from vsmsim import cli, pauli, protocol
 from vsmsim.errors import CommutationError, DependenceError
+from vsmsim.meter import pattern_amplitudes
 from vsmsim.pauli import ObservableSet, validate_set
-from vsmsim.protocol import MeasurementModel, kraus_bruteforce, outcome_distribution
+from vsmsim.protocol import (
+    MeasurementModel,
+    kraus_bruteforce,
+    kraus_closed_form,
+    outcome_distribution,
+    povm,
+)
 from vsmsim.statevec import Ket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -136,6 +149,46 @@ def test_distribution_matches_bruteforce(words, theta, seed):
         branch = op @ ket.amplitudes
         expected = kraus.multiplicity * float(np.vdot(branch, branch).real)
         assert dist[signs] == pytest.approx(expected, abs=1e-10)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(words=commuting_sets(), theta=st.floats(0.0, math.pi / 2))
+def test_closed_form_matches_qudit_meter_and_patterns(words, theta):
+    # With d = 2**K, M_s = 2**(-K(N-1)/2) sum_t phi_(s^t) P_t and E_s = sum_t phi_(s^t)**2 P_t,
+    # phi the qudit meter; and M_s = 2**(-KN/2) sum_T chi_s(T) a_T O_T, a the meter's patterns.
+    model = MeasurementModel(ObservableSet.from_string(",".join(words)), theta)
+    n, k = model.n_sites, model.size
+    projectors = list(oracle.raw_projectors(words).values())
+    phi = protocol._qudit_meter(1 << k, theta)
+    amps = pattern_amplitudes(model.meter_spec)
+    mats = [oracle.dense(w) for w in words]
+    eye = np.eye(1 << n, dtype=complex)
+    subsets = list(itertools.product((0, 1), repeat=k))
+    products = [reduce(np.matmul, (m for m, i in zip(mats, t) if i), eye) for t in subsets]
+    kraus = list(kraus_closed_form(model).operators.values())
+    effects = list(povm(model).effects.values())
+    scale = 2.0 ** (-k * (n - 1) / 2)
+    for s, signs in enumerate(itertools.product((1, -1), repeat=k)):
+        by_meter = sum(phi[s ^ t] * proj for t, proj in enumerate(projectors))
+        np.testing.assert_allclose(kraus[s], scale * by_meter, rtol=0, atol=1e-12)
+        by_square = sum(phi[s ^ t] ** 2 * proj for t, proj in enumerate(projectors))
+        np.testing.assert_allclose(effects[s], by_square, rtol=0, atol=1e-12)
+        chi = [math.prod(c for c, i in zip(signs, t) if i) for t in subsets]
+        by_patterns = sum(c * a * o for c, a, o in zip(chi, amps, products))
+        np.testing.assert_allclose(kraus[s], 2.0 ** (-k * n / 2) * by_patterns, rtol=0, atol=1e-12)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(words=commuting_sets(), theta=st.floats(0.0, math.pi / 2))
+def test_barycentric_matches_dense_traces(words, theta):
+    model = MeasurementModel(ObservableSet.from_string(",".join(words)), theta)
+    rank = 1 << (model.n_sites - model.size)
+    projectors = oracle.raw_projectors(words).values()
+    dense = [
+        [float(np.real(np.trace(effect @ proj))) / rank for proj in projectors]
+        for effect in povm(model).effects.values()
+    ]
+    np.testing.assert_allclose(list(cli._barycentric(model).values()), dense, rtol=0, atol=1e-12)
 
 
 @st.composite
