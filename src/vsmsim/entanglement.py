@@ -10,9 +10,9 @@ The n-tangle of a pure n-qubit state with amplitudes a_{i1...in} is
 with eps_{01} = -eps_{10} = 1: every site but the last pairs the first
 amplitude with the second and the third with the fourth, while the last
 site pairs first with third and second with fourth.  Amplitudes enter
-unconjugated.  ``n_tangle_contraction`` evaluates this sum literally and
-is the oracle the tests check against; its cost grows as 16**n, so it
-is capped at 8 qubits, and no report uses it.
+unconjugated.  The tests keep a literal evaluation of this sum, at
+16**n cost, as the oracle of the evaluators below
+(``tests/tangle_oracle.py``); no report uses it.
 
 ``n_tangle_spinflip`` reaches the same number through spin-flip
 overlaps at O(2**n) cost, and ``tangle --state`` reports use it.  For
@@ -74,12 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .meter import MeterSpec, kfold_meter, pattern_amplitudes
+from .pauli import _parity
 from .statevec import Ket
-
-# The literal contraction touches 16**n terms; 8 qubits is its budget.
-CONTRACTION_MAX_QUBITS = 8
 
 # The strength-tangle identity must hold to this absolute tolerance.
 STRENGTH_TANGLE_ATOL = 1e-8
@@ -114,14 +112,6 @@ def tangle_is_monotone(n: int) -> bool:
     return n in (2, 3) or n % 2 == 0
 
 
-def _parity_signs(m: int) -> np.ndarray:
-    """(-1)**popcount(i) for i in [0, 2**m), built by sign doubling."""
-    signs = np.ones(1, dtype=np.float64)
-    for _ in range(m):
-        signs = np.concatenate((signs, -signs))
-    return signs
-
-
 def _epsilon_pair(vec_a: np.ndarray, vec_b: np.ndarray) -> complex:
     """Bilinear pairing a^T (eps tensor power m) b over m-qubit vectors.
 
@@ -130,35 +120,8 @@ def _epsilon_pair(vec_a: np.ndarray, vec_b: np.ndarray) -> complex:
     pairing is therefore sum_i (-1)**popcount(i) a_i b_{~i}, and b_{~i}
     is just b reversed.
     """
-    m = vec_a.size.bit_length() - 1
-    return complex(np.sum(_parity_signs(m) * vec_a * vec_b[::-1]))
-
-
-def n_tangle_contraction(state: Ket) -> float:
-    """Literal four-copy epsilon contraction; the oracle, capped at 8 qubits."""
-    n = state.n
-    if n < 1:
-        raise DomainError("the n-tangle needs at least one qubit")
-    if n > CONTRACTION_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"contraction over {n} qubits exceeds the {CONTRACTION_MAX_QUBITS}-qubit budget"
-        )
-    a = state.amplitudes.reshape((2,) * n)
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
-    pool = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    idx_a = pool[0 * n : 1 * n]
-    idx_b = pool[1 * n : 2 * n]
-    idx_c = pool[2 * n : 3 * n]
-    idx_d = pool[3 * n : 4 * n]
-    operands = [a, a, a, a]
-    subscripts = [idx_a, idx_b, idx_c, idx_d]
-    for site in range(n - 1):
-        operands += [eps, eps]
-        subscripts += [idx_a[site] + idx_b[site], idx_c[site] + idx_d[site]]
-    operands += [eps, eps]
-    subscripts += [idx_a[n - 1] + idx_c[n - 1], idx_b[n - 1] + idx_d[n - 1]]
-    total = np.einsum(",".join(subscripts) + "->", *operands, optimize="greedy")
-    return float(2.0 * abs(complex(total)))
+    signs = 1.0 - 2.0 * _parity(np.arange(vec_a.size, dtype=np.int64))
+    return complex(np.sum(signs * vec_a * vec_b[::-1]))
 
 
 def n_tangle_spinflip(state: Ket) -> float:

@@ -14,6 +14,8 @@ with alpha = cos(theta) + sqrt(2**K - 1) sin(theta) and
 beta = cos(theta) - sin(theta)/sqrt(2**K - 1).  Round k occupies meter
 qubits (k-1)*N + 1 ... k*N, and qubit ordering follows ``statevec``
 (first qubit = most significant bit).  All meter amplitudes are real.
+``protocol.couple`` writes the 2**K nonzero ones straight into its
+coupled register, at the block patterns' indices (``_pattern_index``).
 
 The angle theta in [0, pi/2] sets the measurement strength
 
@@ -110,14 +112,19 @@ def kfold_meter(spec: MeterSpec) -> Ket:
     check_size(n * k, "the meter register")
     pattern_amps = pattern_amplitudes(spec)
     amps = np.zeros(1 << (n * k), dtype=np.complex128)
-    patterns = np.arange(pattern_amps.size, dtype=np.int64)
-    index = np.zeros(pattern_amps.size, dtype=np.int64)
-    block = (1 << n) - 1
-    for bit in range(k):
-        # Pattern bit ``bit`` drives the block of round k - bit.
-        index |= ((patterns >> bit) & 1) * (block << (bit * n))
-    amps[index] = pattern_amps
+    amps[_pattern_index(k, n)] = pattern_amps
     return Ket(amps)
+
+
+def _pattern_index(rounds: int, n_sites: int) -> np.ndarray:
+    """Meter register index of each block pattern, in ``pattern_amplitudes`` order."""
+    patterns = np.arange(1 << rounds, dtype=np.int64)
+    index = np.zeros(patterns.size, dtype=np.int64)
+    block = (1 << n_sites) - 1
+    for bit in range(rounds):
+        # Pattern bit ``bit`` drives the block of round K - bit.
+        index |= ((patterns >> bit) & 1) * (block << (bit * n_sites))
+    return index
 
 
 def strength(rounds: int, theta: float) -> float:

@@ -12,10 +12,11 @@ Y = iXZ at every site it equals
 
 a signed permutation matrix: column b holds i**y_count
 (-1)**popcount(z_mask & b) in row b ^ x_mask.  No observable keeps a
-dense matrix; ``scatter`` is the one place that scatters these columns
-into dense arrays.  Two products commute exactly when
-popcount(xa & zb) + popcount(za & xb) is even (Aaronson & Gottesman,
-PRA 70, 052328 (2004)).
+dense matrix.  ``_term_action`` gives those rows and phases for any
+product i**e X**x Z**z; ``scatter`` writes them into dense operator
+stacks, and ``protocol.couple`` applies them to a state.  Two products
+commute exactly when popcount(xa & zb) + popcount(za & xb) is even
+(Aaronson & Gottesman, PRA 70, 052328 (2004)).
 
 A set of K pairwise commuting products can be measured jointly when it
 is also independent: no non-empty subset of its members multiplies to
@@ -215,6 +216,18 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _term_action(term: PauliTerm, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """How O = i**e X**x Z**z acts on the basis: O|b> = phases[b] |rows[b]>.
+
+    rows[b] = b ^ x and phases[b] = i**e (-1)**popcount(z & b), for every
+    basis index b of ``n_sites`` qubits.  Column b of O's matrix holds
+    phases[b] in row rows[b], and (O v)[rows] = phases * v.
+    """
+    x, z, e = term
+    cols = np.arange(1 << n_sites, dtype=np.int64)
+    return cols ^ x, _I_POWERS[e] * (1.0 - 2.0 * _parity(cols & z))
+
+
 def validate_set(obs_set: ObservableSet) -> tuple[PauliTerm, ...]:
     """Subset products O_T of a commuting independent set, indexed like ``sign_vectors``.
 
@@ -273,8 +286,7 @@ def scatter(products: tuple[PauliTerm, ...], weights: np.ndarray, n_sites: int) 
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
     stack = np.zeros((rows, dim, dim), dtype=np.complex128)
-    for t, (x, z, e) in enumerate(products):
-        # Column b of O_T holds i**e (-1)**popcount(z & b) in row b ^ x.
-        column = _I_POWERS[e] * (1.0 - 2.0 * _parity(cols & z))
-        stack[:, cols ^ x, cols] += np.outer(weights[:, t], column)
+    for t, term in enumerate(products):
+        targets, column = _term_action(term, n)
+        stack[:, targets, cols] += np.outer(weights[:, t], column)
     return stack

@@ -9,11 +9,15 @@ round-major: entry (k-1)*N + n - 1 belongs to round k, site n.  The
 product of round k's N signs is that round's combined sign s_k, and the
 sign vector (s_1, ..., s_K) is the measurement outcome.
 
-``couple`` simulates the circuit on the dense N(K+1)-qubit register: it
-is built once, as the Kronecker product of system and meter, and each
-controlled letter rewrites the register's control=1 half in place (X
-swaps the target's two slices, Z negates one, Y swaps them and
-multiplies by -i and i).  The X readout of all meter qubits is a
+``couple`` writes the dense N(K+1)-qubit register after the coupling
+without simulating a gate.  The meter is supported on 2**K block
+patterns, and on pattern T the controls that are 1 are exactly those of
+the rounds in T, so their letters multiply to the subset product O_T
+that ``validate_set`` returned: the register is
+sum_T a_T (O_T |system>) (x) |pattern T>, one signed permutation of the
+system amplitudes per pattern (``pauli._term_action``).  It agrees bit
+for bit with the gate-by-gate circuit that the tests keep
+(``tests/circuit_oracle.py``).  The X readout of all meter qubits is a
 Walsh-Hadamard transform over the meter index (``pauli._walsh_hadamard``),
 whose column j, scaled by 2**(-NK/2), is the unnormalized conditional
 system state of record index j.  ``sample`` and ``sample_signs`` draw
@@ -21,8 +25,8 @@ record indices from those columns.
 
 Records sharing a sign vector induce the same conditional state, so the
 scheme is described by 2**K Kraus operators, each realized by
-2**(K*(N-1)) records.  ``kraus_bruteforce`` extracts them by simulating
-the full circuit; ``kraus_closed_form`` builds
+2**(K*(N-1)) records.  ``kraus_bruteforce`` extracts them from the
+records of every basis state; ``kraus_closed_form`` builds
 
     M_s = 2**(-K(N-1)/2) [cos(theta) P_s + sin(theta)/sqrt(2**K-1) (I - P_s)]
 
@@ -46,12 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, DomainError
-from .meter import MeterSpec, _strength, kfold_meter
+from .meter import MeterSpec, _pattern_index, _strength, pattern_amplitudes
 from .pauli import (
     ObservableSet,
     PauliTerm,
     SignVector,
     _parity,
+    _term_action,
     _walsh_hadamard,
     characters,
     scatter,
@@ -79,9 +84,10 @@ class MeasurementModel:
     ``coupling_order`` is the order in which each system site sees its K
     controlled gates (a permutation of 1..K, default ascending).  The
     extracted Kraus operators and POVM do not depend on it because the
-    observables commute; it is kept explicit so the circuit is fully
-    specified.  ``products`` holds the subset products that
-    ``validate_set``, the one check of the set, returned on construction.
+    observables commute, so ``couple`` does not read it; it is kept
+    explicit, and recorded, so the circuit is fully specified.
+    ``products`` holds the subset products that ``validate_set``, the one
+    check of the set, returned on construction.
     """
 
     observables: ObservableSet
@@ -186,62 +192,31 @@ class OutcomeRecord:
 
 
 def couple(model: MeasurementModel, system: Ket) -> Ket:
-    """Join ``system`` to the meter register and run the coupling circuit.
+    """Join ``system`` to the meter register and apply the coupling.
 
     System qubits come first (sites 1..N), then the meter qubits in
-    round-major order.  Meter qubit (k, n) controls the Pauli letter of
-    observable k at site n, read off that site's bits of the two masks.
-    The register is built once and every controlled letter is applied to
-    it in place.
+    round-major order.  The meter lives on its 2**K block patterns, and on
+    pattern T the controlled letters of the rounds in T multiply to the
+    subset product O_T, so the coupled state is
+    sum_T a_T (O_T |system>) (x) |pattern T>.  Each pattern's meter column
+    is written once; every other column stays zero.  The commuting O_k
+    give the same O_T in any coupling order.
     """
     n = model.n_sites
     if system.n != n:
         raise DimensionError(f"system has {system.n} qubits, model needs {n}")
     qubits = n * (model.size + 1)
     check_size(qubits, "the coupled register")
-    amps = np.kron(system.amplitudes, kfold_meter(model.meter_spec).amplitudes)
-    register = amps.reshape((2,) * qubits)
-    for k in model.coupling_order:
-        obs = model.observables.observables[k - 1]
-        for site in range(n):
-            bit = n - 1 - site
-            _controlled_letter(
-                register, n * k + site, site, (obs.x_mask >> bit) & 1, (obs.z_mask >> bit) & 1
-            )
-    return Ket(amps, require_normalized=False)
-
-
-def _controlled_letter(register: np.ndarray, control: int, target: int, x: int, z: int) -> None:
-    """Apply X**x Z**z (Y = iXZ when both) to axis ``target`` where axis ``control`` is 1.
-
-    ``register`` is a writable ``(2,)*n`` view, written in place; the axes
-    are 0-based and distinct.  Length-1 slices keep both halves views
-    even when the register has only these two axes.  The halves are
-    rewritten as a dense 2x2 matrix product would write them: exactly for
-    every nonzero part, with ``+ 0.0`` (and ``0.0 - x`` for a negation)
-    making every zero part +0.
-    """
-    picker = [slice(None)] * register.ndim
-    picker[control] = slice(1, 2)
-    picker[target] = slice(0, 1)
-    lo = register[tuple(picker)]
-    picker[target] = slice(1, 2)
-    hi = register[tuple(picker)]
-    if not x:
-        # Z = diag(1, -1).
-        np.add(lo, 0.0, out=lo)
-        np.subtract(0.0, hi, out=hi)
-        return
-    held = lo + 0.0
-    if z:
-        # Y = [[0, -i], [i, 0]].
-        np.multiply(hi, -1j, out=lo)
-        lo += 0.0
-        np.multiply(held, 1j, out=hi)
-        hi += 0.0
-    else:
-        np.add(hi, 0.0, out=lo)
-        hi[...] = held
+    register = np.zeros((1 << n, 1 << (qubits - n)), dtype=np.complex128)
+    meter = pattern_amplitudes(model.meter_spec).astype(np.complex128)
+    columns = _pattern_index(model.size, n)
+    # In the circuit no gate touches the empty pattern, so its signed zeros stay.
+    register[:, columns[0]] = system.amplitudes * meter[0]
+    for t in range(1, meter.size):
+        rows, phases = _term_action(model.products[t], n)
+        # The phases are exact; + 0.0 makes each zero part +0, as a gate of the circuit does.
+        register[rows, columns[t]] = phases * (system.amplitudes * meter[t]) + 0.0
+    return Ket(register.reshape(-1), require_normalized=False)
 
 
 def _sign_index(records: np.ndarray, rounds: int, n_sites: int) -> np.ndarray:
@@ -268,13 +243,15 @@ def _branches(model: MeasurementModel, system: Ket) -> np.ndarray:
 
 
 def kraus_bruteforce(model: MeasurementModel) -> KrausSet:
-    """Extract the Kraus operators by simulating the full circuit.
+    """Extract the Kraus operators from the X-readout records of every basis state.
 
-    Runs the coupling on every computational basis state, projects each
-    meter qubit onto the X basis, groups the resulting record operators
-    by combined sign vector, and checks that all records in a group give
-    the same operator.  No closed-form input: this is the oracle the
-    closed form is tested against.
+    Couples every computational basis state, projects each meter qubit
+    onto the X basis, groups the resulting record operators by combined
+    sign vector, and checks that all records in a group give the same
+    operator.  ``couple`` builds its register from the same subset
+    products as ``kraus_closed_form``, so the tests that use this as the
+    closed form's oracle run it with ``_branches`` taken from the
+    gate-by-gate circuit instead.
     """
     n, k = model.n_sites, model.size
     # One 2**N x 2**N operator per record.
@@ -415,32 +392,6 @@ def _qudit_meter(d: int, theta: float) -> np.ndarray:
     phi = np.full(d, math.sin(theta) / math.sqrt(d - 1.0))
     phi[0] = math.cos(theta)
     return phi
-
-
-def qudit_vsm_bruteforce(d: int, theta: float) -> list[np.ndarray]:
-    """Qudit effects from literal simulation of the shift circuit.
-
-    Builds the d**2-dimensional joint state, applies the permutation
-    |i, j> -> |i, (j + i) mod d|, and reads the meter column-by-column.
-    Independent of the closed form: used to test it.
-    """
-    if d < 2:
-        raise DomainError(f"qudit dimension must be at least 2, got {d}")
-    phi = _qudit_meter(d, theta)
-    effects = []
-    kraus = [np.zeros((d, d), dtype=np.complex128) for _ in range(d)]
-    for i in range(d):
-        joint = np.zeros(d * d, dtype=np.complex128)
-        joint[i * d : (i + 1) * d] = phi
-        shifted = np.zeros_like(joint)
-        for j in range(d):
-            shifted[i * d + (j + i) % d] = joint[i * d + j]
-        for j in range(d):
-            for i_out in range(d):
-                kraus[j][i_out, i] = shifted[i_out * d + j]
-    for j in range(d):
-        effects.append(kraus[j].conj().T @ kraus[j])
-    return effects
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:

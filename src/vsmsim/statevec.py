@@ -10,8 +10,9 @@ sits at index 2.
 
 Normalization is explicit, never silent: the ``Ket`` constructor rejects
 unnormalized input unless told otherwise, and ``Ket.normalized`` is the
-one place where rescaling happens.  The gates that act on these vectors
-are the coupling circuit's, and live in ``protocol``.
+one place where rescaling happens.  No gate acts on these vectors: the
+coupled register is written from the subset products (``protocol.couple``),
+and the gate-by-gate circuit is a test oracle (``tests/circuit_oracle.py``).
 """
 
 from __future__ import annotations

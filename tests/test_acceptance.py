@@ -22,13 +22,11 @@ import numpy as np
 import pytest
 
 from projectors import pvm_of
+from qudit_oracle import qudit_vsm_bruteforce
 from strength_inverse import theta_for_strength
+from tangle_oracle import n_tangle_contraction
 
-from vsmsim.entanglement import (
-    n_tangle_contraction,
-    n_tangle_spinflip,
-    verify_strength_tangle,
-)
+from vsmsim.entanglement import n_tangle_spinflip, verify_strength_tangle
 from vsmsim.meter import MeterSpec, strength
 from vsmsim.pauli import ObservableSet
 from vsmsim.protocol import (
@@ -38,7 +36,6 @@ from vsmsim.protocol import (
     outcome_distribution,
     povm,
     qudit_vsm,
-    qudit_vsm_bruteforce,
     sample,
     sample_signs,
 )

@@ -17,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_oracle import tensor
+from tangle_oracle import CONTRACTION_MAX_QUBITS, n_tangle_contraction
 
 from vsmsim.entanglement import (
-    CONTRACTION_MAX_QUBITS,
     TangleReport,
     meter_tangle_simplified,
-    n_tangle_contraction,
     n_tangle_patterns,
     n_tangle_spinflip,
     state_tangle_report,

@@ -4,14 +4,16 @@ Commuting independent sets come from a greedy GF(2) draw written here,
 independent of ``vsmsim.pauli``: a candidate word is kept when it
 commutes with the members so far and its (x, z) vector lies outside the
 GF(2) span of theirs.  The closed-form outcome distribution is checked
-against the literal-circuit Kraus oracle, and the accept/raise decision
-of ``validate_set`` against the dense oracle of ``pauli_oracle``.  The
-closed-form Kraus operators and effects are checked against the qudit
-meter acting on the oracle's projectors and against the meter's block
-patterns acting on the dense subset products, and the ``--barycentric``
-table against dense traces.  The
-in-place coupling circuit and X readout are checked bit for bit against
-``circuit_oracle``, and the readout against a dense Hadamard matrix.
+against ``kraus_bruteforce`` run on the gate-by-gate circuit of
+``circuit_oracle``, and the accept/raise decision of ``validate_set``
+against the dense oracle of ``pauli_oracle``.  The closed-form Kraus
+operators and effects are checked against the qudit meter acting on the
+oracle's projectors and against the meter's block patterns acting on the
+dense subset products, and the ``--barycentric`` table against dense
+traces.  The coupled register that ``protocol.couple`` builds from the
+subset products, and the in-place X readout, are checked bit for bit
+against ``circuit_oracle``, and the readout against a dense Hadamard
+matrix.
 """
 
 import itertools
@@ -144,7 +146,9 @@ def test_distribution_matches_bruteforce(words, theta, seed):
     ket = Ket(amps / np.linalg.norm(amps))
     model = MeasurementModel(ObservableSet.from_string(",".join(words)), theta)
     dist = outcome_distribution(model, ket)
-    kraus = kraus_bruteforce(model)
+    # The oracle runs the gate-by-gate circuit, which shares no code with the subset products.
+    with mock.patch.object(protocol, "_branches", circuit_oracle.branches):
+        kraus = kraus_bruteforce(model)
     for signs, op in kraus.operators.items():
         branch = op @ ket.amplitudes
         expected = kraus.multiplicity * float(np.vdot(branch, branch).real)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from projectors import pvm_of
+from qudit_oracle import qudit_vsm_bruteforce
 from strength_inverse import theta_for_strength
 
 from vsmsim.errors import (
@@ -35,7 +36,6 @@ from vsmsim.protocol import (
     outcome_distribution,
     povm,
     qudit_vsm,
-    qudit_vsm_bruteforce,
     sample,
     sample_signs,
     sign_string,
@@ -189,8 +189,8 @@ class TestCouple:
         monkeypatch.setenv("VSM_MAX_QUBITS", "6")
         np.testing.assert_array_equal(couple(m, psi).amplitudes, fits)
         monkeypatch.setenv("VSM_MAX_QUBITS", "5")
-        monkeypatch.setattr(protocol, "kfold_meter", refused)
-        monkeypatch.setattr(protocol.np, "kron", refused)
+        monkeypatch.setattr(protocol, "pattern_amplitudes", refused)
+        monkeypatch.setattr(protocol.np, "zeros", refused)
         for run in (lambda: couple(m, psi), lambda: sample(m, psi, 1)):
             with pytest.raises(ResourceLimitError, match=r"coupled register needs 2\^6 .* limit of 5"):
                 run()

@@ -1,9 +1,9 @@
-"""Tests for the dense state vectors and the controlled letters of the coupling circuit.
+"""Tests for the dense state vectors and the controlled gates of the circuit oracle.
 
-The in-place kernel of ``protocol.couple`` and the ``tensor`` and
-``apply_controlled`` of ``circuit_oracle`` are checked against dense
-controlled-gate matrices built index-by-index in this file, never
-against the implementation's own plumbing.
+The ``tensor`` and ``apply_controlled`` of ``circuit_oracle``, the
+gate-by-gate circuit that ``protocol.couple`` is checked against, are
+checked against dense controlled-gate matrices built index-by-index in
+this file, never against the implementation's own plumbing.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 
 from circuit_oracle import apply_controlled, tensor
 
-from vsmsim import protocol
 from vsmsim.errors import DimensionError, DomainError, ParseError, ResourceLimitError
 from vsmsim.statevec import Ket, max_qubits
 
@@ -22,21 +21,10 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-
-# Each letter's (X bit, Z bit), as ``protocol`` reads them off the masks.
-LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 MATRICES = {"X": X, "Y": Y, "Z": Z}
 
 
-def kernel(letter, control, target, state):
-    """Amplitudes after ``protocol``'s in-place controlled letter (1-based qubits)."""
-    amps = np.array(state.amplitudes)
-    register = amps.reshape((2,) * state.n)
-    protocol._controlled_letter(register, control - 1, target - 1, *LETTER_BITS[letter])
-    return amps
-
-
-def oracle(letter, control, target, state):
+def controlled(letter, control, target, state):
     return apply_controlled(MATRICES[letter], control, target, state).amplitudes
 
 
@@ -222,22 +210,19 @@ class TestTensor:
 
 
 class TestApplyControlled:
-    """The in-place kernel and the oracle's ``apply_controlled``, side by side."""
+    """The oracle's ``apply_controlled`` against hand values and dense matrices."""
 
     def test_cnot_flips_target(self):
-        for apply in (kernel, oracle):
-            amps = apply("X", 1, 2, Ket.basis(2, 2))
-            np.testing.assert_allclose(amps, Ket.basis(2, 3).amplitudes)
+        amps = controlled("X", 1, 2, Ket.basis(2, 2))
+        np.testing.assert_allclose(amps, Ket.basis(2, 3).amplitudes)
 
     def test_cz_phases_one_one(self):
-        for apply in (kernel, oracle):
-            np.testing.assert_allclose(apply("Z", 1, 2, Ket.basis(2, 3)), [0, 0, 0, -1])
+        np.testing.assert_allclose(controlled("Z", 1, 2, Ket.basis(2, 3)), [0, 0, 0, -1])
 
     def test_cy_control_above_target(self):
         start = Ket.normalized([1.0, 1.0, 0.0, 0.0])  # (|00> + |01>)/sqrt(2)
         expected = np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2)
-        for apply in (kernel, oracle):
-            np.testing.assert_allclose(apply("Y", 2, 1, start), expected, atol=1e-15)
+        np.testing.assert_allclose(controlled("Y", 2, 1, start), expected, atol=1e-15)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(23)
@@ -250,8 +235,8 @@ class TestApplyControlled:
             letter = "XYZ"[int(rng.integers(0, 3))]
             state = random_ket(rng, n)
             dense = controlled_matrix(MATRICES[letter], control, target, n) @ state.amplitudes
-            for apply in (kernel, oracle):
-                np.testing.assert_allclose(apply(letter, control, target, state), dense, atol=1e-12)
+            amps = controlled(letter, control, target, state)
+            np.testing.assert_allclose(amps, dense, atol=1e-12)
 
     def test_norm_preserved_up_to_ten_qubits(self):
         rng = np.random.default_rng(31)
@@ -260,15 +245,15 @@ class TestApplyControlled:
             for _ in range(5):
                 c = int(rng.integers(1, n + 1))
                 t = c % n + 1
-                state = Ket(kernel("Y", c, t, state), require_normalized=False)
+                state = apply_controlled(Y, c, t, state)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_double_application_is_identity(self):
         rng = np.random.default_rng(37)
         state = random_ket(rng, 3)
         for letter in "XYZ":
-            once = Ket(kernel(letter, 3, 1, state), require_normalized=False)
-            np.testing.assert_array_equal(kernel(letter, 3, 1, once), state.amplitudes)
+            once = apply_controlled(MATRICES[letter], 3, 1, state)
+            np.testing.assert_array_equal(controlled(letter, 3, 1, once), state.amplitudes)
 
     def test_control_equals_target_rejected(self):
         with pytest.raises(DimensionError):
