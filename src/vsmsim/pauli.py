@@ -187,33 +187,52 @@ def _multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
 
 # ``_walsh_hadamard`` takes its rows in blocks of about this many bytes.
 _BUTTERFLY_BLOCK_BYTES = 1 << 18
+# Its butterflies on this many lowest bits run on a transposed block (5 to 8 time alike).
+_TRANSPOSED_BITS = 6
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """h[..., j] = sum_t (-1)**popcount(j & t) values[..., t] over the last axis.
+    """h[..., j] = sum_t (-1)**popcount(j & t) values[..., t], in place over the last axis.
 
     The last axis holds 2**k entries; the transform runs as k butterflies
     (a, b) -> (a + b, a - b), most significant bit first, so no 2**k x 2**k
-    matrix is formed.  They run in place on one copy of ``values``, a block
-    of rows at a time, so that all k levels of a block stay in cache; rows
-    do not mix, so the block size does not change a single bit.
+    matrix is formed.  They overwrite the C-contiguous ``values``, which is
+    returned, a block of rows at a time, so that all k levels of a block
+    stay in cache.  Level ``bit`` pairs entries 2**bit apart, a short inner
+    loop for low bits, so the lowest levels run on a copy of the block with
+    its groups of 2**low entries transposed onto the leading axis.  Every
+    level adds and subtracts the same pairs either way: not a bit changes.
     """
+    if not values.flags.c_contiguous:
+        raise ValueError("the Walsh-Hadamard transform needs a C-contiguous array")
     width = values.shape[-1]
     k = width.bit_length() - 1
-    out = np.array(values, order="C")
-    rows = out.reshape(-1, width)
-    step = max(1, _BUTTERFLY_BLOCK_BYTES // (width * out.itemsize))
-    held = np.empty(step * width // 2, dtype=out.dtype)
+    low = min(k, _TRANSPOSED_BITS)
+    rows = values.reshape(-1, width)
+    step = max(1, _BUTTERFLY_BLOCK_BYTES // (width * values.itemsize))
+    turned = np.empty(step * width, dtype=values.dtype)
+    held = np.empty(step * width // 2, dtype=values.dtype)
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
-        for bit in reversed(range(k)):
-            pairs = block.reshape(block.shape[0], -1, 2, 1 << bit)
-            a, b = pairs[:, :, 0], pairs[:, :, 1]
-            a_old = held[: a.size].reshape(a.shape)
-            np.copyto(a_old, a)
-            a += b
-            np.subtract(a_old, b, out=b)
-    return out
+        for bit in reversed(range(low, k)):
+            _butterfly(block, 1 << bit, held)
+        groups = block.reshape(-1, 1 << low)
+        columns = turned[: block.size].reshape(1 << low, -1)
+        np.copyto(columns, groups.T)
+        for bit in reversed(range(low)):
+            _butterfly(columns, columns.shape[1] << bit, held)
+        np.copyto(groups, columns.T)
+    return values
+
+
+def _butterfly(values: np.ndarray, span: int, held: np.ndarray) -> None:
+    """(a, b) -> (a + b, a - b) in place on the entries ``span`` apart in each run of 2 * span."""
+    pairs = values.reshape(-1, 2, span)
+    a, b = pairs[:, 0], pairs[:, 1]
+    a_old = held[: a.size].reshape(a.shape)
+    np.copyto(a_old, a)
+    a += b
+    np.subtract(a_old, b, out=b)
 
 
 def _term_action(term: PauliTerm, n_sites: int) -> tuple[np.ndarray, np.ndarray]:

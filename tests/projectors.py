@@ -1,4 +1,4 @@
-"""Joint eigenprojectors of an observable set, for the tests only.
+"""Joint eigenprojectors of an observable set, and POVM completeness, for the tests only.
 
 The library forms no projector stack; the tests build the projectors
 P_s = 2**-K sum_T chi_s(T) O_T with the library's one dense kernel,
@@ -43,3 +43,9 @@ def build_pvm(products: tuple[PauliTerm, ...], n_sites: int) -> Pvm:
 def pvm_of(obs_set: ObservableSet) -> Pvm:
     """Validate ``obs_set`` and build its projectors; raises what ``validate_set`` raises."""
     return build_pvm(validate_set(obs_set), obs_set.n_sites)
+
+
+def completeness_residual(effects: dict[SignVector, np.ndarray]) -> float:
+    """Largest entry of |sum_s E_s - I|: zero for a complete measurement."""
+    total = sum(effects.values())
+    return float(np.max(np.abs(total - np.eye(total.shape[0]))))

@@ -249,24 +249,41 @@ def test_circuit_matches_oracle_bit_for_bit(inputs, seed):
 
 @st.composite
 def butterfly_inputs(draw):
-    """Complex rows of 1 or 2 columns, or of up to 64 columns in more rows than one block."""
-    kind = draw(st.sampled_from(["rows", "one column", "two columns"]))
-    if kind == "rows":
-        width = 1 << draw(st.integers(0, 6))
-        per_block = pauli._BUTTERFLY_BLOCK_BYTES // (16 * width)
-        rows = per_block + draw(st.integers(1, per_block))
-    else:
-        width = 1 if kind == "one column" else 2
-        rows = draw(st.integers(1, 9))
+    """Complex rows of 1 to 2**12 columns, in one block of rows or in several.
+
+    Below 2**``_TRANSPOSED_BITS`` columns every level runs transposed, above
+    it the high levels run directly; past one block the block loop runs,
+    often with a short last block.  The parts are Gaussian or drawn from
+    {0, -0, 1, -1}, so that signed zeros reach the butterflies.
+    """
+    width = 1 << draw(st.integers(0, 12))
+    per_block = pauli._BUTTERFLY_BLOCK_BYTES // (16 * width)
+    rows = draw(st.integers(1, 2 * per_block + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+    if draw(st.booleans()):
+        parts = rng.normal(size=(2, rows, width))
+    else:
+        parts = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=(2, rows, width))
+    return parts[0] + 1j * parts[1]
 
 
-@settings(SETTINGS, max_examples=30)
+@settings(SETTINGS, max_examples=40)
 @given(values=butterfly_inputs())
 def test_walsh_hadamard_matches_dense_matrix(values):
     width = values.shape[1]
-    signs = np.array([[(-1.0) ** (j & t).bit_count() for j in range(width)] for t in range(width)])
-    out = pauli._walsh_hadamard(values)
-    np.testing.assert_allclose(out, values @ signs, rtol=0, atol=1e-12 * width)
-    assert_same_bits(out, circuit_oracle.walsh_hadamard(values))
+    # The dense matrix's columns at up to 64 output indices j.
+    picks = np.unique(np.linspace(0, width - 1, 64).astype(np.int64))
+    signs = np.array([[(-1.0) ** (j & t).bit_count() for j in picks] for t in range(width)])
+    expected = circuit_oracle.walsh_hadamard(values)
+    # The kernel overwrites its argument.
+    argument = values.copy()
+    out = pauli._walsh_hadamard(argument)
+    assert np.shares_memory(out, argument)
+    np.testing.assert_allclose(out[:, picks], values @ signs, rtol=0, atol=1e-12 * width)
+    assert_same_bits(out, expected)
+
+
+def test_walsh_hadamard_refuses_a_strided_view():
+    # A strided view cannot be overwritten through a reshape.
+    with pytest.raises(ValueError, match="C-contiguous"):
+        pauli._walsh_hadamard(np.zeros((4, 8), dtype=np.complex128)[:, ::2])

@@ -7,13 +7,14 @@ simulation.  POVM square roots are cross-checked via eigendecomposition.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from projectors import pvm_of
+from projectors import completeness_residual, pvm_of
 from qudit_oracle import qudit_vsm_bruteforce
 from strength_inverse import theta_for_strength
 
@@ -205,7 +206,7 @@ class TestKrausBruteforce:
     def test_completeness(self):
         for theta in (0.0, 0.5, math.pi / 4, math.pi / 2):
             kraus = kraus_bruteforce(model("XX,ZZ", theta))
-            assert kraus.povm().completeness_residual() < 1e-12
+            assert completeness_residual(kraus.povm().effects) < 1e-12
 
     def test_strong_limit_scaled_projectors(self):
         kraus = kraus_bruteforce(model("XX,ZZ", 0.0))
@@ -275,7 +276,7 @@ class TestPovm:
         for obs in ("ZZ", "XX,ZZ", "XYZ"):
             for theta in np.linspace(0, math.pi / 2, 9):
                 effects = povm(model(obs, float(theta)))
-                assert effects.completeness_residual() < 1e-12
+                assert completeness_residual(effects.effects) < 1e-12
                 assert min(np.linalg.eigvalsh(e).min() for e in effects.effects.values()) > -1e-12
 
     def test_single_round_effect_formula(self):
@@ -393,6 +394,24 @@ class TestSample:
         assert set(counts) == set(sign_vectors(2))
         # Theory: cos^2(0.3) ~ 0.9127 on the correct outcome.
         assert counts[(1, 1)] / 4000 == pytest.approx(math.cos(0.3) ** 2, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda m, psi: sample_signs(m, psi, 1000, 3), lambda m, psi: sample(m, psi, 3)],
+        ids=["sample_signs", "sample"],
+    )
+    def test_register_held_once(self, draw):
+        # The coupled register of N = 6, K = 2 is 2**18 amplitudes; the readout
+        # transforms it in place and squares it a row at a time.
+        m = model("XXXXXX,ZZZZZZ", 0.7)
+        psi = random_ket(np.random.default_rng(107), 6)
+        tracemalloc.start()
+        try:
+            draw(m, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 2**18
 
     def test_sample_signs_deterministic(self):
         m = model("ZZ", 0.5)
