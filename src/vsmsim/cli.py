@@ -54,7 +54,9 @@ from .errors import DimensionError, ParseError, VsmError
 from .meter import MeterSpec, kfold_meter, parse_angle
 from .pauli import ObservableSet, sign_vectors
 from .protocol import (
+    RECORD_SAMPLER,
     RNG_ALGORITHM,
+    TALLY_SAMPLER,
     MeasurementModel,
     effects_to_json,
     kraus_closed_form,
@@ -89,14 +91,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _meta(seed=None) -> dict:
-    return {
+def _meta(seed=None, sampler=None) -> dict:
+    """Artifact provenance; ``sampler`` names how an artifact that draws made its draws."""
+    meta = {
         "tool": "vsmsim",
         "version": __version__,
         "rng": RNG_ALGORITHM,
         "seed": seed,
         "qubit_order": QUBIT_ORDER_NOTE,
     }
+    if sampler is not None:
+        meta["sampler"] = sampler
+    return meta
 
 
 def _csv_meta(seed=None) -> list[str]:
@@ -367,7 +373,7 @@ def _cmd_sample(args) -> int:
     if args.samples == 1:
         record = sample(model, state, args.seed)
         artifact = {
-            "meta": _meta(seed=args.seed),
+            "meta": _meta(seed=args.seed, sampler=RECORD_SAMPLER),
             "kind": "sample",
             "model": model.to_json(),
             "record": record.to_json(),
@@ -376,7 +382,7 @@ def _cmd_sample(args) -> int:
     else:
         counts = sample_signs(model, state, args.samples, args.seed)
         artifact = {
-            "meta": _meta(seed=args.seed),
+            "meta": _meta(seed=args.seed, sampler=TALLY_SAMPLER),
             "kind": "sample-counts",
             "model": model.to_json(),
             "samples": args.samples,
@@ -478,7 +484,7 @@ def _cmd_bell_demo(args) -> int:
             }
         )
     artifact = {
-        "meta": _meta(seed=args.seed),
+        "meta": _meta(seed=args.seed, sampler=TALLY_SAMPLER),
         "kind": "bell-demo",
         "model": model.to_json(),
         "strength": model.strength,

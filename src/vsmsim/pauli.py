@@ -209,7 +209,8 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     k = width.bit_length() - 1
     low = min(k, _TRANSPOSED_BITS)
     rows = values.reshape(-1, width)
-    step = max(1, _BUTTERFLY_BLOCK_BYTES // (width * values.itemsize))
+    # A block is never longer than the array, so a small transform takes small scratch.
+    step = max(1, min(rows.shape[0], _BUTTERFLY_BLOCK_BYTES // (width * values.itemsize)))
     turned = np.empty(step * width, dtype=values.dtype)
     held = np.empty(step * width // 2, dtype=values.dtype)
     for start in range(0, rows.shape[0], step):

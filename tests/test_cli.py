@@ -46,6 +46,7 @@ class TestMeter:
         assert artifact["strength"] == pytest.approx(strength(2, 0.5))
         assert artifact["meta"]["tool"] == "vsmsim"
         assert artifact["meta"]["seed"] is None
+        assert "sampler" not in artifact["meta"]
         assert "qubit 1" in artifact["meta"]["qubit_order"]
         amps = np.array(artifact["state"]["re"]) + 1j * np.array(artifact["state"]["im"])
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
@@ -259,6 +260,7 @@ class TestSample:
         artifact = json.loads(out)
         assert artifact["kind"] == "sample"
         assert artifact["meta"]["seed"] == 42
+        assert artifact["meta"]["sampler"] == "records"
         record = artifact["record"]
         assert set(record["signs"]) <= {"+", "-"}
         assert len(record["raw"]) == 4
@@ -281,7 +283,27 @@ class TestSample:
         assert code == 0
         artifact = json.loads(out)
         assert artifact["kind"] == "sample-counts"
+        assert artifact["meta"]["sampler"] == "multinomial"
         assert sum(artifact["counts"].values()) == 250
+
+    def test_zero_samples(self, capsys):
+        code, _, err = run(
+            capsys, "sample", "--obs", "XX,ZZ", "--theta", "0.5",
+            "--state", GHZ2_JSON, "--seed", "3", "--samples", "0",
+        )
+        assert code == 1
+        assert "shots must be positive, got 0" in err
+
+    def test_tally_below_register_cap(self, capsys, monkeypatch):
+        # XX,ZZ couples 2 + 4 qubits, but a tally holds only 2**(2 + 2) pattern entries.
+        monkeypatch.setenv("VSM_MAX_QUBITS", "5")
+        args = ("sample", "--obs", "XX,ZZ", "--theta", "0.5", "--state", GHZ2_JSON, "--seed", "3")
+        code, out, _ = run(capsys, *args, "--samples", "20")
+        assert code == 0
+        assert sum(json.loads(out)["counts"].values()) == 20
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert "coupled register needs 2^6" in err
 
     def test_shots_over_qubit_cap(self, capsys, monkeypatch):
         # Five draws need 2^3 entries; the two-qubit circuit itself fits.
@@ -376,6 +398,7 @@ class TestBellDemo:
         assert code == 0
         artifact = json.loads(out)
         assert artifact["ok"] is True
+        assert artifact["meta"]["sampler"] == "multinomial"
         for state in artifact["states"]:
             assert state["frequencies"][state["expected"]] == pytest.approx(1.0)
 

@@ -27,11 +27,11 @@ GOLDENS = [
     ("distribution --obs XX,ZZ --theta 0.5 --state {bell}",
      "3153f44809101f479e8e8527c658e34dd02b0c2d87197b4400f86c7875d32305"),
     ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7 --samples 1000",
-     "aea95aabba92d999cbcc82b3174ca23a00554ffee3bb677bd86b19a4ef89a1c7"),
+     "2570a297bda7836484dcd03fa405c832f13746d5bddb25a85cd5af2041d4d820"),
     ("sweep --K 1 --N 2 --grid 0:90deg:25 --format csv",
      "88d5a0f7eccefe02eafd85a74c8ab4ed99546082f62d4ddaec54454578cf24f8"),
     ("bell-demo --theta 30deg --samples 100000 --seed 42",
-     "37f19332b88e095dc7c59b7c068b93f84abffddfa5be5954bc1caced573173ef"),
+     "5ad2458f34102bd21a374178ffcfc0011b8f1e5c194c8224f83598e0d2f30c01"),
     ("tangle --K 2 --N 2 --theta 0.3",
      "5746319266317dc108c8487053942f30df189e3bca8d95a26e65ecc2b8e59368"),
     ("qudit --d 4 --theta 0.5236",
@@ -45,7 +45,7 @@ GOLDENS = [
     ("sweep --K 2 --N 10 --grid 0:90deg:5 --format json",
      "7f29fd40972a5f40273a62be71fd633d815c1c595bc05fa5eb09e7224ceb0de8"),
     ("sample --obs XX,ZZ --theta 0.5 --state {bell} --seed 7",
-     "8b9a7d469afdf4038810fe856fa13cb920b645adf7e7e2e0c11eac72d1e59303"),
+     "2e7ff6c4fddc001a6fc8fab340979568132140913835c70e574399c0b57c7ec9"),
 ]
 
 

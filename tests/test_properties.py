@@ -13,7 +13,9 @@ dense subset products, and the ``--barycentric`` table against dense
 traces.  The coupled register that ``protocol.couple`` builds from the
 subset products, and the in-place X readout, are checked bit for bit
 against ``circuit_oracle``, and the readout against a dense Hadamard
-matrix.
+matrix.  The shot tally's sign-vector probabilities are checked against
+the circuit's record probabilities summed per sign vector, and each
+tally against them with exact binomial tails (``tally_oracle``).
 """
 
 import itertools
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 import circuit_oracle
 import pauli_oracle as oracle
+import tally_oracle
 
 from vsmsim import cli, pauli, protocol
 from vsmsim.errors import CommutationError, DependenceError
@@ -237,14 +240,25 @@ def test_circuit_matches_oracle_bit_for_bit(inputs, seed):
                      circuit_oracle.couple(model, ket).amplitudes)
     assert_same_bits(protocol._branches(model, ket), circuit_oracle.branches(model, ket))
     record = protocol.sample(model, ket, seed)
-    counts = protocol.sample_signs(model, ket, 300, seed)
     # The sampler itself did not change: fed the oracle's branches, it gives the old records.
     with mock.patch.object(protocol, "_branches", circuit_oracle.branches):
         expected = protocol.sample(model, ket, seed)
-        assert counts == protocol.sample_signs(model, ket, 300, seed)
     assert (record.raw, record.signs) == (expected.raw, expected.signs)
     assert_same_bits(record.probability, expected.probability)
     assert_same_bits(record.post_state.amplitudes, expected.post_state.amplitudes)
+    # The tally draws from the circuit's record probabilities, summed per sign vector.
+    np.testing.assert_allclose(protocol._sign_probabilities(model, ket),
+                               tally_oracle.sign_probabilities(model, ket), rtol=0, atol=1e-12)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(inputs=circuit_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_sample_signs_tally_within_five_sigma(inputs, seed):
+    model, ket = inputs
+    counts = protocol.sample_signs(model, ket, 1000, seed)
+    tally_oracle.assert_within_five_sigma(
+        counts, tally_oracle.sign_probabilities(model, ket), 1000
+    )
 
 
 @st.composite

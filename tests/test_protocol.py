@@ -4,16 +4,18 @@ The coupling is checked against an independent branch-expansion oracle
 (controlled products applied per meter pattern, assembled with np.kron),
 and the closed-form Kraus operators against the brute-force circuit
 simulation.  POVM square roots are cross-checked via eigendecomposition.
+The shot tally is checked against the circuit's record probabilities,
+summed per sign vector (``tally_oracle``).
 """
 
 import math
 import tracemalloc
-from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import tally_oracle
 from projectors import completeness_residual, pvm_of
 from qudit_oracle import qudit_vsm_bruteforce
 from strength_inverse import theta_for_strength
@@ -70,12 +72,6 @@ def model(obs, theta, order=()):
 
 def obs_matrix(name):
     return reduce(np.kron, [SINGLE[c] for c in name])
-
-
-def raw_record(pos, rounds, n_sites):
-    """The +-1 readout signs of X-readout record index ``pos``, meter qubit 1 first."""
-    total = rounds * n_sites
-    return tuple(1 - 2 * ((pos >> (total - 1 - i)) & 1) for i in range(total))
 
 
 def record_signs(raw, rounds, n_sites):
@@ -396,13 +392,18 @@ class TestSample:
         assert counts[(1, 1)] / 4000 == pytest.approx(math.cos(0.3) ** 2, abs=0.02)
 
     @pytest.mark.parametrize(
-        "draw",
-        [lambda m, psi: sample_signs(m, psi, 1000, 3), lambda m, psi: sample(m, psi, 3)],
+        "draw, bound",
+        [
+            # The 2**8 pattern entries, 1.5 times as many of transform scratch, small objects.
+            (lambda m, psi: sample_signs(m, psi, 1000, 3), 4 * 16 * 2**8),
+            # The 2**18 coupled register, transformed in place and squared a row at a time.
+            (lambda m, psi: sample(m, psi, 3), 1.5 * 16 * 2**18),
+        ],
         ids=["sample_signs", "sample"],
     )
-    def test_register_held_once(self, draw):
-        # The coupled register of N = 6, K = 2 is 2**18 amplitudes; the readout
-        # transforms it in place and squares it a row at a time.
+    def test_register_held_once(self, draw, bound):
+        # N = 6, K = 2: a single shot draws from the whole coupled register, a tally
+        # from its 2**K nonzero meter columns alone.
         m = model("XXXXXX,ZZZZZZ", 0.7)
         psi = random_ket(np.random.default_rng(107), 6)
         tracemalloc.start()
@@ -411,28 +412,29 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 16 * 2**18
+        assert peak <= bound
 
     def test_sample_signs_deterministic(self):
         m = model("ZZ", 0.5)
         psi = Ket.normalized([1.0, 2.0, 0.5, -0.3])
         assert sample_signs(m, psi, 100, 11) == sample_signs(m, psi, 100, 11)
 
+    def test_sample_signs_needs_a_shot(self):
+        with pytest.raises(DomainError, match="shots must be positive, got 0"):
+            sample_signs(model("XX,ZZ", 0.3), Ket(BELL[(1, 1)]), 0, 1)
+
     @pytest.mark.parametrize("obs", ["Z", "XX,ZZ", "XYZ,ZZZ", "XXX,ZZX,YYX", "XXXX,ZZZZ,XXZZ"])
     def test_sample_signs_tally_matches_per_record_signs(self, obs):
-        # The same draws, each combined through its raw record.
+        # The circuit's record probabilities, summed per sign vector, are what the tally draws from.
         m = model(obs, 0.9)
         psi = random_ket(np.random.default_rng(101), m.n_sites)
-        branches = protocol._branches(m, psi)
-        probs = protocol._record_probabilities(branches)
-        draws = np.random.default_rng(13).choice(branches.shape[1], size=500, p=probs)
-        expected = Counter(
-            record_signs(raw_record(int(pos), m.size, m.n_sites), m.size, m.n_sites)
-            for pos in draws
+        expected = tally_oracle.sign_probabilities(m, psi)
+        np.testing.assert_allclose(
+            protocol._sign_probabilities(m, psi), expected, rtol=0, atol=1e-12
         )
-        counts = sample_signs(m, psi, 500, 13)
-        assert counts == {s: expected[s] for s in sign_vectors(m.size)}
+        counts = sample_signs(m, psi, 1000, 13)
         assert list(counts) == sign_vectors(m.size)
+        tally_oracle.assert_within_five_sigma(counts, expected, 1000)
 
 
 class TestQudit:
